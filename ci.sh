@@ -50,6 +50,14 @@ echo "== progen differential sweep: fixed seed range =="
 # snapshot-restore must agree on every one of them.
 go test -count=1 -run 'TestProgenDifferential' ./internal/progen
 
+echo "== static analysis: determinism + golden fingerprints =="
+# The analysis must give the same Result whatever the map iteration
+# order, so the determinism test repeats; the golden fingerprints pin
+# every profile's and progen program's Result dump and encoded record.
+# Regenerate deliberately with
+#   go test ./internal/analysis -run TestAnalysisFingerprints -update
+go test -count=3 -run 'TestAnalyzeDeterministic|TestAnalysisFingerprints' ./internal/analysis
+
 echo "== golden traces: drift check =="
 # The committed per-workload event summaries under testdata/traces/ must
 # match what the engine emits today. Regenerate deliberately with
@@ -123,13 +131,15 @@ if go run ./cmd/riclint -js keyed.js=testdata/keyed.js testdata/keyed-forged.ric
 fi
 
 echo "== perf gate: deterministic counters + load floor vs BENCH_baseline.json =="
-# Instruction counts and record sizes are bit-for-bit reproducible, so
-# they are gated exactly (tolerance 2%), with zero flake; wall-clock
-# timings are deliberately not gated — except the open-loop load smoke,
-# which is gated only as a very conservative throughput floor (a quarter
-# of healthy) so it catches the read path growing a lock or sessions
-# serializing, never scheduler noise. The same run must also serve every
-# session with zero failures and zero output mismatches. After a
+# Instruction counts, record sizes and the static analysis' work counts
+# (rounds, function runs, blocks, steps, merges, clones) are bit-for-bit
+# reproducible, so they are gated exactly (tolerance 2%), with zero
+# flake; wall-clock timings are deliberately not gated — except the
+# open-loop load smoke, which is gated only as a very conservative
+# throughput floor (a quarter of healthy) so it catches the read path
+# growing a lock or sessions serializing, never scheduler noise. The
+# same run must also serve every session with zero failures and zero
+# output mismatches. After a
 # legitimate improvement, refresh and commit the baseline:
 #   go run ./cmd/ricbench -format json | go run ./cmd/perfgate -write
 go run ./cmd/ricbench -format json -load -load-sessions 80 -load-rate 400 -load-cold 4 | go run ./cmd/perfgate

@@ -13,6 +13,11 @@
 // the same way: they count dispatches served by quickened and fused
 // opcodes in a quickened conventional run, so a drop means the bytecode
 // overlay silently stopped engaging while outputs stayed correct.
+// `analysisWork` — the static analysis' fixpoint rounds, function runs,
+// blocks, instruction steps, state merges and state clones — is a pure
+// function of the workload source, so it is gated exactly like
+// instructions: a rise means the analysis does more work for the same
+// input.
 //
 // Usage:
 //
@@ -26,6 +31,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+
+	"ricjs/internal/analysis"
 )
 
 // gated is the reduced per-workload schema the baseline stores: only the
@@ -38,8 +45,9 @@ type gated struct {
 	StaticTypes              struct {
 		TypedFastHits uint64 `json:"typedFastHits"`
 	} `json:"staticTypes"`
-	QuickenedExecutions uint64 `json:"quickenedExecutions"`
-	FusedExecutions     uint64 `json:"fusedExecutions"`
+	QuickenedExecutions uint64        `json:"quickenedExecutions"`
+	FusedExecutions     uint64        `json:"fusedExecutions"`
+	AnalysisWork        analysis.Work `json:"analysisWork"`
 }
 
 type baseline struct {
@@ -189,6 +197,13 @@ func main() {
 		checkFloor(w.Name, "typedFastHits", old.StaticTypes.TypedFastHits, w.StaticTypes.TypedFastHits)
 		checkFloor(w.Name, "quickenedExecutions", old.QuickenedExecutions, w.QuickenedExecutions)
 		checkFloor(w.Name, "fusedExecutions", old.FusedExecutions, w.FusedExecutions)
+		ow, nw := old.AnalysisWork, w.AnalysisWork
+		check(w.Name, "analysisWork.rounds", ow.Rounds, nw.Rounds)
+		check(w.Name, "analysisWork.fnRuns", ow.FnRuns, nw.FnRuns)
+		check(w.Name, "analysisWork.blocks", ow.Blocks, nw.Blocks)
+		check(w.Name, "analysisWork.steps", ow.Steps, nw.Steps)
+		check(w.Name, "analysisWork.merges", ow.Merges, nw.Merges)
+		check(w.Name, "analysisWork.clones", ow.Clones, nw.Clones)
 	}
 	for name := range byName {
 		fmt.Printf("perfgate: workload %q disappeared from the benchmark\n", name)

@@ -28,23 +28,88 @@ const (
 	pNum = pInt | pFlo
 )
 
+// idSet is a set of dense ids (abstract objects or shapes) in ascending
+// order. Sets are immutable once built — every insertion or union that
+// adds an element allocates a fresh slice — so one set can back any
+// number of values, cells and analyzers at once, and iterating it visits
+// members in creation order without sorting.
+type idSet []int32
+
+// with returns s ∪ {id}, and whether id was new.
+func (s idSet) with(id int32) (idSet, bool) {
+	i := sort.Search(len(s), func(i int) bool { return s[i] >= id })
+	if i < len(s) && s[i] == id {
+		return s, false
+	}
+	out := make(idSet, len(s)+1)
+	copy(out, s[:i])
+	out[i] = id
+	copy(out[i+1:], s[i:])
+	return out, true
+}
+
+// subsetOf reports s ⊆ t.
+func (s idSet) subsetOf(t idSet) bool {
+	if len(s) > len(t) {
+		return false
+	}
+	j := 0
+	for _, id := range s {
+		for j < len(t) && t[j] < id {
+			j++
+		}
+		if j == len(t) || t[j] != id {
+			return false
+		}
+		j++
+	}
+	return true
+}
+
+// union returns s ∪ t, and whether it is larger than s. Whenever one
+// operand already holds the union, it is returned as is.
+func (s idSet) union(t idSet) (idSet, bool) {
+	if t.subsetOf(s) {
+		return s, false
+	}
+	if s.subsetOf(t) {
+		return t, true
+	}
+	out := make(idSet, 0, len(s)+len(t))
+	i, j := 0, 0
+	for i < len(s) && j < len(t) {
+		switch {
+		case s[i] < t[j]:
+			out = append(out, s[i])
+			i++
+		case s[i] > t[j]:
+			out = append(out, t[j])
+			j++
+		default:
+			out = append(out, s[i])
+			i++
+			j++
+		}
+	}
+	out = append(out, s[i:]...)
+	return append(out, t[j:]...), true
+}
+
 // absVal is an abstract JS value: a may-set of primitive kinds plus a
-// may-set of abstract objects, or ⊤ (any value, including unknown
-// objects). Values are treated as immutable — mutation always goes through
-// copies — so they can be shared freely between stack slots and cells.
+// may-set of abstract objects (by id), or ⊤ (any value, including
+// unknown objects). Values are immutable — the object set is shared, never
+// written — so they can be copied freely between stack slots and cells.
 type absVal struct {
 	top   bool
 	prims uint8
-	objs  map[*absObj]bool
+	objs  idSet
 }
 
 var topVal = absVal{top: true}
 
 func primVal(p uint8) absVal { return absVal{prims: p} }
 
-func objVal(o *absObj) absVal {
-	return absVal{objs: map[*absObj]bool{o: true}}
-}
+func objVal(o *absObj) absVal { return absVal{objs: o.self} }
 
 func (v absVal) isBottom() bool { return !v.top && v.prims == 0 && len(v.objs) == 0 }
 
@@ -61,43 +126,30 @@ func (v absVal) numericOnly() bool {
 	return !v.top && len(v.objs) == 0 && v.prims != 0 && v.prims&^pNum == 0
 }
 
-// objsSorted returns the object set in id order, for deterministic
-// iteration wherever processing order affects shape-creation order.
-func (v absVal) objsSorted() []*absObj {
-	out := make([]*absObj, 0, len(v.objs))
-	for o := range v.objs {
-		out = append(out, o)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
-	return out
-}
-
 // join returns v ⊔ w.
 func (v absVal) join(w absVal) absVal {
-	if v.top || w.top {
-		return topVal
+	v.joinIn(w)
+	return v
+}
+
+// joinIn joins w into v in place, reporting whether v grew. No size cap:
+// silently widening a join to ⊤ would drop tracked objects into ⊤ without
+// escaping them, breaking the invariant that ⊤ only aliases escaped
+// objects. Object counts are bounded by allocation sites, so joins stay
+// finite regardless.
+func (v *absVal) joinIn(w absVal) bool {
+	if v.top {
+		return false
 	}
-	if w.prims == 0 && len(w.objs) == 0 {
-		return v
+	if w.top {
+		*v = topVal
+		return true
 	}
-	if v.prims == 0 && len(v.objs) == 0 {
-		return w
-	}
-	out := absVal{prims: v.prims | w.prims}
-	if len(v.objs) > 0 || len(w.objs) > 0 {
-		out.objs = make(map[*absObj]bool, len(v.objs)+len(w.objs))
-		for o := range v.objs {
-			out.objs[o] = true
-		}
-		for o := range w.objs {
-			out.objs[o] = true
-		}
-		// No size cap here: silently widening a join to ⊤ would drop
-		// tracked objects into ⊤ without escaping them, breaking the
-		// invariant that ⊤ only aliases escaped objects. Object counts are
-		// bounded by allocation sites, so joins stay finite regardless.
-	}
-	return out
+	grew := w.prims&^v.prims != 0
+	v.prims |= w.prims
+	objs, more := v.objs.union(w.objs)
+	v.objs = objs
+	return grew || more
 }
 
 // leq reports v ⊑ w.
@@ -108,15 +160,7 @@ func (v absVal) leq(w absVal) bool {
 	if v.top {
 		return false
 	}
-	if v.prims&^w.prims != 0 {
-		return false
-	}
-	for o := range v.objs {
-		if !w.objs[o] {
-			return false
-		}
-	}
-	return true
+	return v.prims&^w.prims == 0 && v.objs.subsetOf(w.objs)
 }
 
 // numKind classifies a numeric constant into the lattice's number
@@ -167,32 +211,26 @@ type cell struct {
 
 func newCell() *cell { return &cell{} }
 
-func (c *cell) update(v absVal) bool {
-	if v.leq(c.v) {
-		return false
-	}
-	c.v = c.v.join(v)
-	return true
-}
+func (c *cell) update(v absVal) bool { return c.v.joinIn(v) }
 
 func (c *cell) get() absVal { return c.v }
 
-// shapeSet is a may-set of shapes an abstract object can have, or ⊤
-// (unknown layout history — e.g. computed property names or escape).
+// shapeSet is a may-set of shapes (by Shape.ID) an abstract object can
+// have, or ⊤ (unknown layout history — e.g. computed property names or
+// escape). The id set is immutable, so a loop over ids stays valid while
+// the loop body adds shapes.
 type shapeSet struct {
 	top bool
-	set map[*Shape]bool
+	ids idSet
 }
 
 func (ss *shapeSet) add(s *Shape) bool {
-	if ss.top || ss.set[s] {
+	if ss.top {
 		return false
 	}
-	if ss.set == nil {
-		ss.set = make(map[*Shape]bool, 2)
-	}
-	ss.set[s] = true
-	return true
+	ids, added := ss.ids.with(int32(s.ID))
+	ss.ids = ids
+	return added
 }
 
 func (ss *shapeSet) widen() bool {
@@ -200,17 +238,8 @@ func (ss *shapeSet) widen() bool {
 		return false
 	}
 	ss.top = true
-	ss.set = nil
+	ss.ids = nil
 	return true
-}
-
-func (ss *shapeSet) sorted() []*Shape {
-	out := make([]*Shape, 0, len(ss.set))
-	for s := range ss.set {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
 }
 
 // maxObjShapes bounds per-object shape-set growth. Sequential stores of n
@@ -226,6 +255,8 @@ const maxObjShapes = 128
 type absObj struct {
 	id    int
 	label string
+	// self is the singleton set {id}, shared by every objVal(o).
+	self idSet
 
 	isArray bool
 	isFunc  bool
@@ -233,8 +264,8 @@ type absObj struct {
 	// registered builtin (function or object), e.g. "Array.prototype.push"
 	// or "Math"; it keys the native call models.
 	native string
-	// fns is the set of compiled functions a closure object may wrap.
-	fns map[*bytecode.FuncProto]bool
+	// fn is the compiled function a closure object wraps.
+	fn *bytecode.FuncProto
 
 	shapes shapeSet
 	// fields maps known property names to value cells.
@@ -243,16 +274,17 @@ type absObj struct {
 	unknown *cell
 	// elems holds array element values.
 	elems *cell
-	// protos is the may-set of prototype objects; protoTop means the
-	// prototype chain is unknown.
-	protos   map[*absObj]bool
+	// protos is the may-set of prototype objects (by id); protoTop means
+	// the prototype chain is unknown.
+	protos   idSet
 	protoTop bool
 
 	// roots accumulates the root shape of every lineage this object ever
 	// held. Unlike the shape set it survives widening and escape, so the
 	// typed-shape pass can still tell WHICH lineages an untrackable object
 	// may reach (and poison exactly those) after the precise set is gone.
-	roots map[*Shape]bool
+	// Holds root Shape.IDs.
+	roots idSet
 
 	// escaped marks objects reachable from ⊤ (unknown code may mutate
 	// them arbitrarily); their shape set is ⊤ and their fields are ⊤.
@@ -301,12 +333,7 @@ func (o *absObj) fieldNames() []string {
 }
 
 func (o *absObj) addProto(p *absObj) bool {
-	if o.protos[p] {
-		return false
-	}
-	if o.protos == nil {
-		o.protos = make(map[*absObj]bool, 1)
-	}
-	o.protos[p] = true
-	return true
+	protos, added := o.protos.with(int32(p.id))
+	o.protos = protos
+	return added
 }

@@ -37,6 +37,31 @@ type fnInfo struct {
 	this    *cell
 	params  []*cell
 	ret     *cell
+
+	// sites resolves proto.Sites indexes to their site records.
+	sites []siteUse
+	// creator is the creator identity of the function's declaration
+	// site, the root of the instances `new` builds; set on first use.
+	creator string
+
+	// Basic blocks, computed once: blockPC lists each block's leader pc
+	// in code order, blockAt maps a leader pc to its block index (-1 for
+	// every other pc).
+	blockPC []int
+	blockAt []int32
+	// Per-block interpreter state, reused across runs: the entry state
+	// of each block, whether one has arrived this run, and whether the
+	// block waits on the worklist.
+	entries []frameState
+	entered []bool
+	queued  []bool
+}
+
+// siteUse is one entry of a proto's site table, resolved to the record
+// accumulating the receivers of its source site.
+type siteUse struct {
+	bytecode.SiteInfo
+	rec *siteRecord
 }
 
 // siteRecord accumulates, per object-access site, the receivers the
@@ -44,23 +69,25 @@ type fnInfo struct {
 // expanded from the receivers' final shape sets after the fixpoint, so
 // mid-analysis records are never published stale.
 type siteRecord struct {
-	site    source.Site
-	kind    ic.AccessKind
-	name    string
+	site source.Site
+	kind ic.AccessKind
+	name string
+	// creator caches creatorName.
+	creator string
 	reached bool
 	top     bool
-	objs    map[*absObj]bool
+	objs    idSet
 }
 
 type analyzer struct {
-	graph   *Graph
-	shapeOf map[*objects.HiddenClass]*Shape
+	graph *Graph
 
-	objFor      map[*objects.Object]*absObj
-	builtinObjs map[string]*absObj
-	objs        []*absObj
-	global      *absObj
-	globalTop   bool
+	// builtinIDs maps every registered builtin name to its object id. It
+	// belongs to the shared seed and is never written after seeding.
+	builtinIDs map[string]int32
+	objs       []*absObj
+	global     *absObj
+	globalTop  bool
 
 	progs   []*bytecode.Program
 	scripts map[string]bool
@@ -77,6 +104,37 @@ type analyzer struct {
 
 	// changed tracks whether any monotone structure grew this round.
 	changed bool
+
+	work Work
+	// visited stamps objects with the traversal epoch that last saw them;
+	// see newVisit.
+	visited []uint32
+	epoch   uint32
+	// st is the state runFn steps a block's instructions on, and worklist
+	// its block stack; both are reused across runs.
+	st       frameState
+	worklist []int
+	idBuf    []int32
+}
+
+// Work counts what the abstract interpreter did. Every count is a pure
+// function of the analyzed programs, so it is a deterministic proxy for
+// analysis cost.
+type Work struct {
+	// Rounds is the number of global fixpoint rounds.
+	Rounds uint64 `json:"rounds"`
+	// FnRuns counts function interpretations (one per reachable function
+	// per round).
+	FnRuns uint64 `json:"fnRuns"`
+	// Blocks counts basic blocks taken off a function's worklist.
+	Blocks uint64 `json:"blocks"`
+	// Steps counts instructions interpreted.
+	Steps uint64 `json:"steps"`
+	// Merges counts joins of a state into an existing block entry state.
+	Merges uint64 `json:"merges"`
+	// Clones counts state copies: a block's first entry state, and the
+	// working copy each block runs on.
+	Clones uint64 `json:"clones"`
 }
 
 // Analyze runs the static shape analysis over one or more compiled
@@ -85,20 +143,16 @@ type analyzer struct {
 // static transition graph.
 func Analyze(progs ...*bytecode.Program) *Result {
 	a := &analyzer{
-		graph:       newGraph(),
-		shapeOf:     map[*objects.HiddenClass]*Shape{},
-		objFor:      map[*objects.Object]*absObj{},
-		builtinObjs: map[string]*absObj{},
-		scripts:     map[string]bool{},
-		fns:         map[*bytecode.FuncProto]*fnInfo{},
-		ctxCells:    map[ctxKey]*cell{},
-		allocObjs:   map[allocKey]*absObj{},
-		instances:   map[*bytecode.FuncProto]*absObj{},
-		protoObjs:   map[*absObj]*absObj{},
-		natObjs:     map[string]*absObj{},
-		sites:       map[source.Site]*siteRecord{},
+		scripts:   map[string]bool{},
+		fns:       map[*bytecode.FuncProto]*fnInfo{},
+		ctxCells:  map[ctxKey]*cell{},
+		allocObjs: map[allocKey]*absObj{},
+		instances: map[*bytecode.FuncProto]*absObj{},
+		protoObjs: map[*absObj]*absObj{},
+		natObjs:   map[string]*absObj{},
+		sites:     map[source.Site]*siteRecord{},
 	}
-	a.seed()
+	a.loadSeed(seedTemplate())
 	for _, p := range progs {
 		if p == nil || p.Toplevel == nil {
 			continue
@@ -115,9 +169,18 @@ func Analyze(progs ...*bytecode.Program) *Result {
 }
 
 func (a *analyzer) newObj(label string) *absObj {
-	o := &absObj{id: len(a.objs), label: label}
+	id := len(a.objs)
+	o := &absObj{id: id, label: label, self: idSet{int32(id)}}
 	a.objs = append(a.objs, o)
 	return o
+}
+
+// builtin returns the abstract object of a registered builtin, or nil.
+func (a *analyzer) builtin(name string) *absObj {
+	if id, ok := a.builtinIDs[name]; ok {
+		return a.objs[id]
+	}
+	return nil
 }
 
 func (a *analyzer) collect(p *bytecode.FuncProto, parent *bytecode.FuncProto) {
@@ -130,9 +193,11 @@ func (a *analyzer) collect(p *bytecode.FuncProto, parent *bytecode.FuncProto) {
 	a.fnOrder = append(a.fnOrder, fi)
 	// Pre-register every site so never-reached ones surface as Dead
 	// predictions instead of being silently absent.
-	for _, si := range p.Sites {
-		a.siteRecFor(si)
+	fi.sites = make([]siteUse, len(p.Sites))
+	for i, si := range p.Sites {
+		fi.sites[i] = siteUse{si, a.siteRecFor(si)}
 	}
+	fi.findBlocks()
 	for _, child := range p.Protos {
 		a.collect(child, p)
 	}
@@ -145,6 +210,7 @@ func (a *analyzer) fixpoint() {
 			return
 		}
 		a.changed = false
+		a.work.Rounds++
 		for _, fi := range a.fnOrder {
 			if fi.reachable {
 				a.runFn(fi)
@@ -175,13 +241,9 @@ func (a *analyzer) shapeAdd(o *absObj, s *Shape) {
 // only grows and is read only after the fixpoint, so it does not drive
 // a.changed.
 func (a *analyzer) recordRoot(o *absObj, r *Shape) {
-	if r == nil || o.roots[r] {
-		return
+	if r != nil {
+		o.roots, _ = o.roots.with(int32(r.ID))
 	}
-	if o.roots == nil {
-		o.roots = make(map[*Shape]bool, 1)
-	}
-	o.roots[r] = true
 }
 
 func (a *analyzer) addProto(o, p *absObj) {
@@ -200,8 +262,8 @@ func (a *analyzer) addProto(o, p *absObj) {
 // escapeVal marks every object in a value as escaped: it flowed into ⊤,
 // so statically-invisible code may mutate it arbitrarily from now on.
 func (a *analyzer) escapeVal(v absVal) {
-	for _, o := range v.objsSorted() {
-		a.escapeObj(o)
+	for _, id := range v.objs {
+		a.escapeObj(a.objs[id])
 	}
 }
 
@@ -231,35 +293,50 @@ func (a *analyzer) escapeObj(o *absObj) {
 	if o.elems != nil {
 		a.escapeVal(o.elems.get())
 	}
-	for p := range o.protos {
-		a.escapeObj(p)
+	for _, p := range o.protos {
+		a.escapeObj(a.objs[p])
 	}
 	if po := a.protoObjs[o]; po != nil {
 		a.escapeObj(po)
 	}
-	a.escapeFns(o)
+	a.escapeFn(o)
 }
 
-func (a *analyzer) escapeFns(o *absObj) {
-	for p := range o.fns {
-		fi := a.fns[p]
-		if fi == nil {
-			continue
-		}
-		if !fi.reachable {
-			fi.reachable = true
-			a.changed = true
-		}
-		if !fi.escaped {
-			fi.escaped = true
-			a.changed = true
-			a.escapeVal(fi.ret.get())
-		}
-		a.upd(fi.this, topVal)
-		for _, pc := range fi.params {
-			a.upd(pc, topVal)
-		}
+func (a *analyzer) escapeFn(o *absObj) {
+	fi := a.fns[o.fn]
+	if fi == nil {
+		return
 	}
+	if !fi.reachable {
+		fi.reachable = true
+		a.changed = true
+	}
+	if !fi.escaped {
+		fi.escaped = true
+		a.changed = true
+		a.escapeVal(fi.ret.get())
+	}
+	a.upd(fi.this, topVal)
+	for _, pc := range fi.params {
+		a.upd(pc, topVal)
+	}
+}
+
+// newVisit starts a traversal over the abstract heap: every object
+// counts as unvisited again.
+func (a *analyzer) newVisit() { a.epoch++ }
+
+// visit marks o visited in the current traversal, reporting whether it
+// was not yet.
+func (a *analyzer) visit(o *absObj) bool {
+	if o.id >= len(a.visited) {
+		a.visited = append(a.visited, make([]uint32, len(a.objs)-len(a.visited))...)
+	}
+	if a.visited[o.id] == a.epoch {
+		return false
+	}
+	a.visited[o.id] = a.epoch
+	return true
 }
 
 // ---- Site records ----
@@ -267,15 +344,24 @@ func (a *analyzer) escapeFns(o *absObj) {
 func (a *analyzer) siteRecFor(si bytecode.SiteInfo) *siteRecord {
 	rec := a.sites[si.Site]
 	if rec == nil {
-		rec = &siteRecord{site: si.Site, kind: si.Kind, name: si.Name, objs: map[*absObj]bool{}}
+		rec = &siteRecord{site: si.Site, kind: si.Kind, name: si.Name}
 		a.sites[si.Site] = rec
 	}
 	return rec
 }
 
+// creatorName returns objects.Creator{Site: r.site}.String(), the
+// identity of the transitions the site's stores and prototype loads
+// create, rendering it once.
+func (r *siteRecord) creatorName() string {
+	if r.creator == "" {
+		r.creator = objects.Creator{Site: r.site}.String()
+	}
+	return r.creator
+}
+
 // recordSite notes the receivers flowing into an access site.
-func (a *analyzer) recordSite(si bytecode.SiteInfo, recv absVal) *siteRecord {
-	rec := a.siteRecFor(si)
+func (a *analyzer) recordSite(rec *siteRecord, recv absVal) {
 	if !rec.reached {
 		rec.reached = true
 		a.changed = true
@@ -284,13 +370,10 @@ func (a *analyzer) recordSite(si bytecode.SiteInfo, recv absVal) *siteRecord {
 		rec.top = true
 		a.changed = true
 	}
-	for o := range recv.objs {
-		if !rec.objs[o] {
-			rec.objs[o] = true
-			a.changed = true
-		}
+	if objs, grew := rec.objs.union(recv.objs); grew {
+		rec.objs = objs
+		a.changed = true
 	}
-	return rec
 }
 
 // ---- Lexical context slots ----
@@ -352,19 +435,125 @@ func (a *analyzer) natObj(key string, mk func() *absObj) *absObj {
 
 // ---- Per-function abstract interpretation ----
 
+// findBlocks splits the function's code into basic blocks. Leaders are
+// pc 0, every branch target, and the instruction after every branch
+// (each conditional or unconditional jump, and OpTryPush, whose catch
+// target is a branch too).
+func (fi *fnInfo) findBlocks() {
+	code := fi.proto.Code
+	n := len(code)
+	fi.blockAt = make([]int32, n)
+	for i := range fi.blockAt {
+		fi.blockAt[i] = -1
+	}
+	// Leaders are marked 0 first and numbered in code order below.
+	leader := func(pc int) {
+		if pc >= 0 && pc < n {
+			fi.blockAt[pc] = 0
+		}
+	}
+	leader(0)
+	for pc := 0; pc < n; {
+		op := bytecode.Op(code[pc])
+		next := pc + 1 + op.OperandCount()
+		target := -1
+		switch op {
+		case bytecode.OpJump, bytecode.OpJumpIfFalse, bytecode.OpJumpIfTrue, bytecode.OpTryPush:
+			target = 1
+		case bytecode.OpFusedLtJumpIfFalse:
+			target = 2
+		}
+		if target > 0 {
+			if pc+target < n {
+				leader(int(code[pc+target]))
+			}
+			leader(next)
+		}
+		pc = next
+	}
+	for pc, b := range fi.blockAt {
+		if b == 0 {
+			fi.blockAt[pc] = int32(len(fi.blockPC))
+			fi.blockPC = append(fi.blockPC, pc)
+		}
+	}
+	fi.entries = make([]frameState, len(fi.blockPC))
+	fi.entered = make([]bool, len(fi.blockPC))
+	fi.queued = make([]bool, len(fi.blockPC))
+}
+
 // frameState is the flow-sensitive abstract machine state at one pc:
 // operand stack plus locals. Locals get strong updates (StoreLocal
 // overwrites); everything heap-shaped is weak.
+//
+// Locals live in fixed-size chunks that copies share: copying a state
+// copies chunk pointers, and a merge skips every chunk both sides share.
+// A function with thousands of locals (a library's module wrapper) then
+// pays per block only for the chunks its blocks actually write.
 type frameState struct {
-	stack  []absVal
-	locals []absVal
+	stack   []absVal
+	chunks  []*localChunk
+	nlocals int
 }
 
-func (st *frameState) clone() *frameState {
-	return &frameState{
-		stack:  append([]absVal(nil), st.stack...),
-		locals: append([]absVal(nil), st.locals...),
+// chunkSlots is the number of locals per chunk.
+const chunkSlots = 16
+
+// localChunk holds chunkSlots consecutive locals. A chunk shared by two
+// states is frozen, and a state clones a frozen chunk before writing it.
+type localChunk struct {
+	vals   [chunkSlots]absVal
+	frozen bool
+}
+
+// topChunk is a frozen chunk of ⊤ locals, shared by every catch entry.
+var topChunk = func() *localChunk {
+	c := &localChunk{frozen: true}
+	for i := range c.vals {
+		c.vals[i] = topVal
 	}
+	return c
+}()
+
+// slots returns the number of locals chunk k of st holds.
+func (st *frameState) slots(k int) int { return min(chunkSlots, st.nlocals-k*chunkSlots) }
+
+func (st *frameState) local(i int) absVal { return st.chunks[i/chunkSlots].vals[i%chunkSlots] }
+
+// writable returns chunk k of st, cloning it first if it is shared.
+func (st *frameState) writable(k int) *localChunk {
+	c := st.chunks[k]
+	if c.frozen {
+		c = &localChunk{vals: c.vals}
+		st.chunks[k] = c
+	}
+	return c
+}
+
+func (st *frameState) setLocal(i int, v absVal) {
+	st.writable(i / chunkSlots).vals[i%chunkSlots] = v
+}
+
+// reset makes st a state with an empty stack and n locals, all ⊥.
+func (st *frameState) reset(n int) {
+	st.stack = st.stack[:0]
+	st.chunks = st.chunks[:0]
+	for k := 0; k*chunkSlots < n; k++ {
+		st.chunks = append(st.chunks, &localChunk{})
+	}
+	st.nlocals = n
+}
+
+// copyFrom makes st a copy of src, sharing (and so freezing) its chunks.
+func (st *frameState) copyFrom(src *frameState) {
+	st.stack = append(st.stack[:0], src.stack...)
+	st.chunks = append(st.chunks[:0], src.chunks...)
+	for _, c := range src.chunks {
+		if !c.frozen { // topChunk is shared between analyzers: read only
+			c.frozen = true
+		}
+	}
+	st.nlocals = src.nlocals
 }
 
 func (st *frameState) push(v absVal) { st.stack = append(st.stack, v) }
@@ -385,39 +574,70 @@ func (st *frameState) peek() absVal {
 	return st.stack[len(st.stack)-1]
 }
 
-// succ is one control-flow successor of an instruction: a target pc and
-// the state flowing into it.
+// succ is one control-flow successor of an instruction. A catch edge
+// (OpTryPush's handler) enters its target with the current stack and ⊤
+// locals.
 type succ struct {
-	pc int
-	st *frameState
+	pc    int
+	catch bool
 }
 
-// mergeState joins src into states[pc], reporting growth. Inconsistent
-// stack depths cannot come out of our compiler; if they ever do, the
-// analysis degrades to the global ⊤ rather than guessing.
-func (a *analyzer) mergeState(states []*frameState, pc int, src *frameState) bool {
-	if pc < 0 || pc >= len(states) {
-		return false
-	}
-	cur := states[pc]
-	if cur == nil {
-		states[pc] = src.clone()
+// succs holds an instruction's successors; no instruction has more than
+// two.
+type succs struct {
+	n int
+	s [2]succ
+}
+
+func succ1(pc int) succs { return succs{n: 1, s: [2]succ{{pc: pc}}} }
+
+func succ2(a, b succ) succs { return succs{n: 2, s: [2]succ{a, b}} }
+
+// mergeEntry joins src into block b's entry state in place, reporting
+// growth. A catch edge joins ⊤ into every local. Inconsistent stack
+// depths cannot come out of our compiler; if they ever do, the analysis
+// degrades to the global ⊤ rather than guessing.
+func (a *analyzer) mergeEntry(fi *fnInfo, b int32, src *frameState, catch bool) bool {
+	dst := &fi.entries[b]
+	if !fi.entered[b] {
+		fi.entered[b] = true
+		a.work.Clones++
+		if catch {
+			dst.stack = append(dst.stack[:0], src.stack...)
+			dst.chunks = dst.chunks[:0]
+			for range src.chunks {
+				dst.chunks = append(dst.chunks, topChunk)
+			}
+			dst.nlocals = src.nlocals
+		} else {
+			dst.copyFrom(src)
+		}
 		return true
 	}
-	if len(cur.stack) != len(src.stack) || len(cur.locals) != len(src.locals) {
+	a.work.Merges++
+	if len(dst.stack) != len(src.stack) || dst.nlocals != src.nlocals {
 		a.globalTop = true
 		return false
 	}
 	grew := false
-	for i := range cur.stack {
-		if !src.stack[i].leq(cur.stack[i]) {
-			cur.stack[i] = cur.stack[i].join(src.stack[i])
+	for i := range dst.stack {
+		if dst.stack[i].joinIn(src.stack[i]) {
 			grew = true
 		}
 	}
-	for i := range cur.locals {
-		if !src.locals[i].leq(cur.locals[i]) {
-			cur.locals[i] = cur.locals[i].join(src.locals[i])
+	for k, sc := range src.chunks {
+		if catch {
+			sc = topChunk
+		}
+		if dst.chunks[k] == sc {
+			continue
+		}
+		for j := 0; j < dst.slots(k); j++ {
+			v := sc.vals[j]
+			if v.leq(dst.chunks[k].vals[j]) {
+				continue
+			}
+			dst.writable(k).vals[j].joinIn(v)
 			grew = true
 		}
 	}
@@ -427,37 +647,70 @@ func (a *analyzer) mergeState(states []*frameState, pc int, src *frameState) boo
 // runFn interprets one function to its local fixpoint, given the current
 // interprocedural summaries. The global fixpoint reruns it whenever
 // anything it depends on grows.
+//
+// The worklist holds basic blocks. Each block's straight-line code runs
+// on one working state; only block entry states are kept, and a
+// successor block is requeued when its entry state grows.
 func (a *analyzer) runFn(fi *fnInfo) {
 	proto := fi.proto
 	n := len(proto.Code)
 	if n == 0 {
 		return
 	}
-	entry := &frameState{locals: make([]absVal, proto.NumLocals)}
-	for i := range entry.locals {
-		entry.locals[i] = primVal(pUndef)
+	a.work.FnRuns++
+	clear(fi.entered)
+	entry := &fi.entries[0]
+	entry.reset(proto.NumLocals)
+	for i := 0; i < proto.NumLocals; i++ {
+		// Params get a strong set, not a join: missing-argument undefined
+		// is already accounted in the param cell by every call transfer,
+		// so seeding pUndef here would taint params that are always
+		// passed.
+		v := primVal(pUndef)
+		if i < proto.NumParams {
+			v = fi.params[i].get()
+		}
+		entry.setLocal(i, v)
 	}
-	for i := 0; i < proto.NumParams && i < len(entry.locals); i++ {
-		// Strong set, not join: missing-argument undefined is already
-		// accounted in the param cell by every call transfer, so seeding
-		// pUndef here would taint params that are always passed.
-		entry.locals[i] = fi.params[i].get()
-	}
-	states := make([]*frameState, n)
-	states[0] = entry
-	work := []int{0}
-	inWork := make([]bool, n)
-	inWork[0] = true
+	fi.entered[0] = true
+	fi.queued[0] = true
+	work := append(a.worklist[:0], 0)
+	st := &a.st
 	for len(work) > 0 {
-		pc := work[len(work)-1]
+		b := work[len(work)-1]
 		work = work[:len(work)-1]
-		inWork[pc] = false
-		st := states[pc].clone()
-		for _, s := range a.step(fi, pc, st) {
-			if a.mergeState(states, s.pc, s.st) && !inWork[s.pc] {
-				inWork[s.pc] = true
-				work = append(work, s.pc)
+		fi.queued[b] = false
+		a.work.Blocks++
+		a.work.Clones++
+		st.copyFrom(&fi.entries[b])
+		pc := fi.blockPC[b]
+		for {
+			a.work.Steps++
+			out := a.step(fi, pc, st)
+			if out.n == 1 && !out.s[0].catch {
+				if next := out.s[0].pc; next >= 0 && next < n && fi.blockAt[next] < 0 {
+					pc = next // straight-line: stay in the block
+					continue
+				}
 			}
+			for _, s := range out.s[:out.n] {
+				if s.pc < 0 || s.pc >= n {
+					continue
+				}
+				nb := fi.blockAt[s.pc]
+				if nb < 0 {
+					// A branch into the middle of a block: the leader
+					// scan cannot have missed it for compiler output.
+					a.globalTop = true
+					continue
+				}
+				if a.mergeEntry(fi, nb, st, s.catch) && !fi.queued[nb] {
+					fi.queued[nb] = true
+					work = append(work, int(nb))
+				}
+			}
+			break
 		}
 	}
+	a.worklist = work
 }

@@ -49,6 +49,8 @@ type Shape struct {
 	// renderings) that may create this shape at runtime.
 	Creators map[string]bool
 
+	// offsets indexes Fields by name once the layout outgrows a linear
+	// scan (nil below linearFields).
 	offsets     map[string]int
 	transitions map[string]*Shape
 	// root caches the lineage root (the ancestor with Parent == nil; self
@@ -61,12 +63,20 @@ func (s *Shape) Root() *Shape { return s.root }
 
 // HasField reports whether the layout contains a property.
 func (s *Shape) HasField(name string) bool {
-	_, ok := s.offsets[name]
+	_, ok := s.Offset(name)
 	return ok
 }
 
 // Offset returns the slot offset of a property in the layout.
 func (s *Shape) Offset(name string) (int, bool) {
+	if s.offsets == nil {
+		for i, f := range s.Fields {
+			if f == name {
+				return i, true
+			}
+		}
+		return 0, false
+	}
 	off, ok := s.offsets[name]
 	return off, ok
 }
@@ -135,6 +145,10 @@ func newGraph() *Graph {
 	}
 }
 
+// linearFields is the layout size up to which Offset scans Fields
+// instead of probing an index map.
+const linearFields = 8
+
 // maxShapes bounds graph growth; an analysis that exceeds it widens to the
 // global ⊤ instead of building an unbounded graph.
 const maxShapes = 20000
@@ -145,10 +159,12 @@ func (g *Graph) newShape(parent *Shape, fields []string) *Shape {
 		Parent:   parent,
 		Fields:   fields,
 		Creators: make(map[string]bool, 1),
-		offsets:  make(map[string]int, len(fields)),
 	}
-	for i, f := range fields {
-		s.offsets[f] = i
+	if len(fields) > linearFields {
+		s.offsets = make(map[string]int, len(fields))
+		for i, f := range fields {
+			s.offsets[f] = i
+		}
 	}
 	if parent == nil {
 		s.root = s
@@ -157,6 +173,46 @@ func (g *Graph) newShape(parent *Shape, fields []string) *Shape {
 	}
 	g.shapes = append(g.shapes, s)
 	return s
+}
+
+// clone returns a deep copy of g: the copy's shapes, creator sets and
+// edges can grow without touching g. Layouts are immutable and shared.
+func (g *Graph) clone() *Graph {
+	c := &Graph{
+		shapes:        make([]*Shape, len(g.shapes)),
+		rootByCreator: make(map[string]*Shape, len(g.rootByCreator)),
+		builtins:      make(map[string]*Shape, len(g.builtins)),
+	}
+	backing := make([]Shape, len(g.shapes))
+	for i, s := range g.shapes {
+		backing[i] = *s
+		c.shapes[i] = &backing[i]
+	}
+	remap := func(s *Shape) *Shape { return c.shapes[s.ID] }
+	for i, s := range g.shapes {
+		n := c.shapes[i]
+		if s.Parent != nil {
+			n.Parent = remap(s.Parent)
+		}
+		n.root = remap(s.root)
+		n.Creators = make(map[string]bool, len(s.Creators))
+		for cr := range s.Creators {
+			n.Creators[cr] = true
+		}
+		if s.transitions != nil {
+			n.transitions = make(map[string]*Shape, len(s.transitions))
+			for name, t := range s.transitions {
+				n.transitions[name] = remap(t)
+			}
+		}
+	}
+	for cr, s := range g.rootByCreator {
+		c.rootByCreator[cr] = remap(s)
+	}
+	for name, s := range g.builtins {
+		c.builtins[name] = remap(s)
+	}
+	return c
 }
 
 // Root returns the root (empty-layout) shape for a creator identity,

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"slices"
 	"testing"
 
 	"ricjs/internal/objects"
@@ -108,15 +109,15 @@ func TestSlotTypeLatticeLaws(t *testing.T) {
 	}
 }
 
-// absEq compares abstract values by mutual ⊑ — join produces fresh maps,
-// so structural equality is the wrong notion.
+// absEq compares abstract values by mutual ⊑ — joins may or may not share
+// an operand's object set, so structural equality is the wrong notion.
 func absEq(a, b absVal) bool { return a.leq(b) && b.leq(a) }
 
 // TestAbsValJoinLaws checks the abstract-value join over a structured
 // sample: primitives, single objects, object sets, mixes, ⊤, and ⊥.
 func TestAbsValJoinLaws(t *testing.T) {
-	o1 := &absObj{id: 1, label: "site-a"}
-	o2 := &absObj{id: 2, label: "site-b"}
+	o1 := &absObj{id: 1, label: "site-a", self: idSet{1}}
+	o2 := &absObj{id: 2, label: "site-b", self: idSet{2}}
 	sample := []absVal{
 		{},
 		topVal,
@@ -165,7 +166,7 @@ func TestAbsValJoinLaws(t *testing.T) {
 	}
 	// Joining distinct objects keeps both identities (no silent widening)…
 	both := objVal(o1).join(objVal(o2))
-	if both.top || len(both.objs) != 2 || !both.objs[o1] || !both.objs[o2] {
+	if both.top || len(both.objs) != 2 || !slices.Contains(both.objs, 1) || !slices.Contains(both.objs, 2) {
 		t.Fatalf("object join lost identities: %v", both)
 	}
 	// …and still collapses to one Object claim for typed shapes.
@@ -178,7 +179,7 @@ func TestAbsValJoinLaws(t *testing.T) {
 // bridge between the dataflow lattice and the claims that ship in
 // records.
 func TestSlotTypeOfCollapse(t *testing.T) {
-	o1 := &absObj{id: 1}
+	o1 := &absObj{id: 1, self: idSet{1}}
 	cases := []struct {
 		name string
 		v    absVal

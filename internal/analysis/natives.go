@@ -94,7 +94,7 @@ func (a *analyzer) sharedEmptyObj() absVal {
 	o := a.natObj("native:new-object", func() *absObj {
 		no := a.newObj("native:new-object")
 		a.rootShapeOn(no, "EmptyObject")
-		a.addProto(no, a.builtinObjs["Object.prototype"])
+		a.addProto(no, a.builtin("Object.prototype"))
 		return no
 	})
 	return objVal(o)
@@ -107,7 +107,7 @@ func (a *analyzer) sharedArray(key string, elems absVal) absVal {
 		no := a.newObj(key)
 		no.isArray = true
 		a.rootShapeOn(no, "Array")
-		a.addProto(no, a.builtinObjs["Array.prototype"])
+		a.addProto(no, a.builtin("Array.prototype"))
 		return no
 	})
 	a.upd(arr.elemCell(), elems)
@@ -126,8 +126,8 @@ func (a *analyzer) objectCreate(protoArg absVal) absVal {
 		o.protoTop = true
 		a.changed = true
 	}
-	for _, p := range protoArg.objsSorted() {
-		a.addProto(o, p)
+	for _, id := range protoArg.objs {
+		a.addProto(o, a.objs[id])
 	}
 	return objVal(o)
 }
@@ -137,12 +137,13 @@ func (a *analyzer) protosOf(v absVal) absVal {
 		return topVal
 	}
 	var out absVal
-	for _, o := range v.objsSorted() {
+	for _, id := range v.objs {
+		o := a.objs[id]
 		if o.escaped || o.protoTop {
 			return topVal
 		}
-		for _, p := range protosSorted(o) {
-			out = out.join(objVal(p))
+		for _, pid := range o.protos {
+			out = out.join(objVal(a.objs[pid]))
 		}
 	}
 	return out.join(primVal(pUndef | pNull))
@@ -154,7 +155,8 @@ func (a *analyzer) elemsOf(recv absVal) absVal {
 		return topVal
 	}
 	var out absVal
-	for _, o := range recv.objsSorted() {
+	for _, id := range recv.objs {
+		o := a.objs[id]
 		if o.escaped {
 			return topVal
 		}
@@ -173,11 +175,10 @@ func (a *analyzer) invokeCallback(cb absVal, callArgs []absVal) (ret absVal, kno
 		return topVal, false
 	}
 	known = true
-	for _, o := range cb.objsSorted() {
-		if len(o.fns) > 0 {
-			for p := range o.fns {
-				ret = ret.join(a.callProto(p, primVal(pUndef), callArgs))
-			}
+	for _, id := range cb.objs {
+		o := a.objs[id]
+		if o.fn != nil {
+			ret = ret.join(a.callProto(o.fn, primVal(pUndef), callArgs))
 			continue
 		}
 		if o.isFunc || o.escaped {
@@ -191,7 +192,8 @@ func (a *analyzer) arrayMethod(method string, thisv absVal, args []absVal) absVa
 	elems := a.elemsOf(thisv)
 	switch method {
 	case "push", "unshift":
-		for _, o := range thisv.objsSorted() {
+		for _, id := range thisv.objs {
+			o := a.objs[id]
 			if o.escaped {
 				a.escapeAll(args)
 				continue
@@ -297,24 +299,23 @@ func (a *analyzer) callApplyLike(fnv, boundThis, argv absVal) absVal {
 		return topVal
 	}
 	var out absVal
-	for _, o := range fnv.objsSorted() {
-		if len(o.fns) > 0 {
-			for p := range o.fns {
-				fi := a.fns[p]
-				if fi == nil {
-					out = topVal
-					continue
-				}
-				if !fi.reachable {
-					fi.reachable = true
-					a.changed = true
-				}
-				a.upd(fi.this, boundThis)
-				for _, c := range fi.params {
-					a.upd(c, argv)
-				}
-				out = out.join(fi.ret.get())
+	for _, id := range fnv.objs {
+		o := a.objs[id]
+		if o.fn != nil {
+			fi := a.fns[o.fn]
+			if fi == nil {
+				out = topVal
+				continue
 			}
+			if !fi.reachable {
+				fi.reachable = true
+				a.changed = true
+			}
+			a.upd(fi.this, boundThis)
+			for _, c := range fi.params {
+				a.upd(c, argv)
+			}
+			out = out.join(fi.ret.get())
 			continue
 		}
 		if o.isFunc || o.escaped {
@@ -353,7 +354,8 @@ func (v absVal) isArrayElems(a *analyzer) absVal {
 		return topVal
 	}
 	var out absVal
-	for _, o := range v.objsSorted() {
+	for _, id := range v.objs {
+		o := a.objs[id]
 		if o.escaped {
 			return topVal
 		}

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"fmt"
+	"slices"
 
 	"ricjs/internal/bytecode"
 	"ricjs/internal/objects"
@@ -9,10 +10,10 @@ import (
 )
 
 // step executes the abstract transfer function of the instruction at pc
-// and returns its control-flow successors. The switch is exhaustive over
-// every bytecode.Op — the opcheck linter enforces that a newly added
+// on st and returns its control-flow successors. The switch is exhaustive
+// over every bytecode.Op — the opcheck linter enforces that a newly added
 // opcode gets a transfer function here.
-func (a *analyzer) step(fi *fnInfo, pc int, st *frameState) []succ {
+func (a *analyzer) step(fi *fnInfo, pc int, st *frameState) succs {
 	proto := fi.proto
 	code := proto.Code
 	op := bytecode.Op(code[pc])
@@ -23,14 +24,14 @@ func (a *analyzer) step(fi *fnInfo, pc int, st *frameState) []succ {
 		}
 		return 0
 	}
-	siteAt := func(i int) (bytecode.SiteInfo, bool) {
+	siteAt := func(i int) (*siteUse, bool) {
 		idx := arg(i)
-		if idx < len(proto.Sites) {
-			return proto.Sites[idx], true
+		if idx < len(fi.sites) {
+			return &fi.sites[idx], true
 		}
-		return bytecode.SiteInfo{}, false
+		return nil, false
 	}
-	one := func() []succ { return []succ{{next, st}} }
+	one := func() succs { return succ1(next) }
 
 	switch op {
 
@@ -56,8 +57,8 @@ func (a *analyzer) step(fi *fnInfo, pc int, st *frameState) []succ {
 		st.push(fi.this.get())
 		return one()
 	case bytecode.OpLoadLocal:
-		if i := arg(1); i < len(st.locals) {
-			st.push(st.locals[i])
+		if i := arg(1); i < st.nlocals {
+			st.push(st.local(i))
 		} else {
 			st.push(topVal)
 		}
@@ -65,8 +66,8 @@ func (a *analyzer) step(fi *fnInfo, pc int, st *frameState) []succ {
 	case bytecode.OpStoreLocal:
 		// Locals are frame-private, so this is a strong (flow-sensitive)
 		// update — the one place the analysis kills information.
-		if i := arg(1); i < len(st.locals) {
-			st.locals[i] = st.peek()
+		if i := arg(1); i < st.nlocals {
+			st.setLocal(i, st.peek())
 		}
 		return one()
 
@@ -169,7 +170,7 @@ func (a *analyzer) step(fi *fnInfo, pc int, st *frameState) []succ {
 		o := a.allocObj(fi, pc, func() *absObj {
 			no := a.newObj(fmt.Sprintf("obj@%s+%d", proto.FunctionName(), pc))
 			a.rootShapeOn(no, "EmptyObject")
-			a.addProto(no, a.builtinObjs["Object.prototype"])
+			a.addProto(no, a.builtin("Object.prototype"))
 			return no
 		})
 		st.push(objVal(o))
@@ -180,7 +181,7 @@ func (a *analyzer) step(fi *fnInfo, pc int, st *frameState) []succ {
 			no := a.newObj(fmt.Sprintf("arr@%s+%d", proto.FunctionName(), pc))
 			no.isArray = true
 			a.rootShapeOn(no, "Array")
-			a.addProto(no, a.builtinObjs["Array.prototype"])
+			a.addProto(no, a.builtin("Array.prototype"))
 			return no
 		})
 		for _, e := range elems {
@@ -198,9 +199,9 @@ func (a *analyzer) step(fi *fnInfo, pc int, st *frameState) []succ {
 		o := a.allocObj(fi, pc, func() *absObj {
 			no := a.newObj("fn " + nested.FunctionName())
 			no.isFunc = true
-			no.fns = map[*bytecode.FuncProto]bool{nested: true}
+			no.fn = nested
 			a.rootShapeOn(no, "Function")
-			a.addProto(no, a.builtinObjs["Function.prototype"])
+			a.addProto(no, a.builtin("Function.prototype"))
 			return no
 		})
 		st.push(objVal(o))
@@ -257,13 +258,13 @@ func (a *analyzer) step(fi *fnInfo, pc int, st *frameState) []succ {
 	// ---- Control flow ----
 
 	case bytecode.OpJump:
-		return []succ{{arg(1), st}}
+		return succ1(arg(1))
 	case bytecode.OpJumpIfFalse:
 		st.pop()
-		return []succ{{arg(1), st}, {next, st}}
+		return succ2(succ{pc: arg(1)}, succ{pc: next})
 	case bytecode.OpJumpIfTrue:
 		st.pop()
-		return []succ{{arg(1), st}, {next, st}}
+		return succ2(succ{pc: arg(1)}, succ{pc: next})
 
 	// ---- Calls ----
 
@@ -284,10 +285,10 @@ func (a *analyzer) step(fi *fnInfo, pc int, st *frameState) []succ {
 		if fi.escaped {
 			a.escapeVal(v)
 		}
-		return nil
+		return succs{}
 	case bytecode.OpReturnUndef:
 		a.upd(fi.ret, primVal(pUndef))
-		return nil
+		return succs{}
 
 	// ---- Iteration and exceptions ----
 
@@ -297,7 +298,7 @@ func (a *analyzer) step(fi *fnInfo, pc int, st *frameState) []succ {
 			no := a.newObj(fmt.Sprintf("keys@%s+%d", proto.FunctionName(), pc))
 			no.isArray = true
 			a.rootShapeOn(no, "Array")
-			a.addProto(no, a.builtinObjs["Array.prototype"])
+			a.addProto(no, a.builtin("Array.prototype"))
 			return no
 		})
 		a.upd(o.elemCell(), primVal(pStr))
@@ -308,19 +309,12 @@ func (a *analyzer) step(fi *fnInfo, pc int, st *frameState) []succ {
 		// statically-unknown code; it must escape to keep mutations of it
 		// covered by ⊤.
 		a.escapeVal(st.pop())
-		return nil
+		return succs{}
 	case bytecode.OpTryPush:
 		// The catch entry inherits the protected region's stack depth but
 		// joins locals from every point inside the try body; ⊤ locals
 		// over-approximate that soundly (and cover the exception slot).
-		catch := &frameState{
-			stack:  append([]absVal(nil), st.stack...),
-			locals: make([]absVal, len(st.locals)),
-		}
-		for i := range catch.locals {
-			catch.locals[i] = topVal
-		}
-		return []succ{{next, st}, {arg(1), catch}}
+		return succ2(succ{pc: next}, succ{pc: arg(1), catch: true})
 	case bytecode.OpTryPop:
 		return one()
 
@@ -372,8 +366,8 @@ func (a *analyzer) step(fi *fnInfo, pc int, st *frameState) []succ {
 		return one()
 	case bytecode.OpFusedLoadLocalLoadNamed:
 		// OpLoadLocal i, then OpLoadNamed with its site operand at word 4.
-		if i := arg(1); i < len(st.locals) {
-			st.push(st.locals[i])
+		if i := arg(1); i < st.nlocals {
+			st.push(st.local(i))
 		} else {
 			st.push(topVal)
 		}
@@ -401,15 +395,22 @@ func (a *analyzer) step(fi *fnInfo, pc int, st *frameState) []succ {
 		// OpLt, then OpJumpIfFalse consuming the comparison result.
 		st.pop()
 		st.pop()
-		return []succ{{arg(2), st}, {next, st}}
+		return succ2(succ{pc: arg(2)}, succ{pc: next})
 	}
 
 	// Unknown opcode: degrade soundly rather than guess a stack effect.
 	a.globalTop = true
-	return nil
+	return succs{}
 }
 
+// popN pops n values and returns them bottom-first. The result aliases
+// the popped stack slots, so it is valid only until the next push.
 func (st *frameState) popN(n int) []absVal {
+	if d := len(st.stack) - n; d >= 0 {
+		out := st.stack[d:len(st.stack):len(st.stack)]
+		st.stack = st.stack[:d]
+		return out
+	}
 	out := make([]absVal, n)
 	for i := n - 1; i >= 0; i-- {
 		out[i] = st.pop()
@@ -440,8 +441,8 @@ func (a *analyzer) rootShapeOn(o *absObj, builtin string) {
 
 // ---- Named access ----
 
-func (a *analyzer) loadNamed(si bytecode.SiteInfo, recv absVal) absVal {
-	a.recordSite(si, recv)
+func (a *analyzer) loadNamed(si *siteUse, recv absVal) absVal {
+	a.recordSite(si.rec, recv)
 	if recv.top {
 		return topVal
 	}
@@ -452,13 +453,13 @@ func (a *analyzer) loadNamed(si bytecode.SiteInfo, recv absVal) absVal {
 	if recv.prims&(pNum|pBool) != 0 {
 		out = out.join(primVal(pUndef))
 	}
-	for _, o := range recv.objsSorted() {
-		out = out.join(a.loadFromObj(o, si))
+	for _, id := range recv.objs {
+		out = out.join(a.loadFromObj(a.objs[id], si))
 	}
 	return out
 }
 
-func (a *analyzer) loadFromObj(o *absObj, si bytecode.SiteInfo) absVal {
+func (a *analyzer) loadFromObj(o *absObj, si *siteUse) absVal {
 	if o.escaped {
 		return topVal
 	}
@@ -470,28 +471,30 @@ func (a *analyzer) loadFromObj(o *absObj, si bytecode.SiteInfo) absVal {
 		// Loading fn.prototype materializes the default prototype object
 		// with the load site as the transition's creator (first-wins at
 		// runtime; the static set accumulates every candidate).
-		return a.fnPrototype(o, objects.Creator{Site: si.Site}.String()).get()
+		return a.fnPrototype(o, si.rec.creatorName()).get()
 	}
 	out := o.field(name).get()
 	if o.unknown != nil {
 		out = out.join(o.unknown.get())
 	}
 	out = out.join(primVal(pUndef))
-	return out.join(a.protoLoad(o, name, map[*absObj]bool{o: true}))
+	a.newVisit()
+	a.visit(o)
+	return out.join(a.protoLoad(o, name))
 }
 
 // protoLoad joins every value name may resolve to along the prototype
-// chain of o.
-func (a *analyzer) protoLoad(o *absObj, name string, seen map[*absObj]bool) absVal {
+// chain of o, skipping objects already visited.
+func (a *analyzer) protoLoad(o *absObj, name string) absVal {
 	if o.protoTop {
 		return topVal
 	}
 	var out absVal
-	for _, p := range protosSorted(o) {
-		if seen[p] {
+	for _, pid := range o.protos {
+		p := a.objs[pid]
+		if !a.visit(p) {
 			continue
 		}
-		seen[p] = true
 		if p.escaped {
 			return topVal
 		}
@@ -504,7 +507,7 @@ func (a *analyzer) protoLoad(o *absObj, name string, seen map[*absObj]bool) absV
 		if p.unknown != nil {
 			out = out.join(p.unknown.get())
 		}
-		out = out.join(a.protoLoad(p, name, seen))
+		out = out.join(a.protoLoad(p, name))
 	}
 	return out
 }
@@ -516,19 +519,20 @@ func (a *analyzer) stringProp(name string) absVal {
 		return primVal(pNum | pUndef)
 	}
 	out := primVal(pUndef)
-	if m := a.builtinObjs["String.prototype."+name]; m != nil {
+	if m := a.builtin("String.prototype." + name); m != nil {
 		out = out.join(objVal(m))
 	}
 	return out
 }
 
-func (a *analyzer) storeNamed(si bytecode.SiteInfo, recv, v absVal) {
-	a.recordSite(si, recv)
+func (a *analyzer) storeNamed(si *siteUse, recv, v absVal) {
+	a.recordSite(si.rec, recv)
 	if recv.top {
 		a.escapeVal(v)
 		return
 	}
-	for _, o := range recv.objsSorted() {
+	for _, id := range recv.objs {
+		o := a.objs[id]
 		if o.escaped {
 			a.escapeVal(v)
 			continue
@@ -537,7 +541,7 @@ func (a *analyzer) storeNamed(si bytecode.SiteInfo, recv, v absVal) {
 			continue // SetLen, not a property transition
 		}
 		a.upd(o.field(si.Name), v)
-		a.storeTransition(o, si.Name, objects.Creator{Site: si.Site}.String())
+		a.storeTransition(o, si.Name, si.rec.creatorName())
 	}
 }
 
@@ -548,7 +552,9 @@ func (a *analyzer) storeTransition(o *absObj, name, creator string) {
 	if o.shapes.top {
 		return
 	}
-	for _, s := range o.shapes.sorted() {
+	next := a.idBuf[:0]
+	for _, sid := range o.shapes.ids {
+		s := a.graph.shapes[sid]
 		if s.HasField(name) {
 			continue
 		}
@@ -556,9 +562,17 @@ func (a *analyzer) storeTransition(o *absObj, name, creator string) {
 		if grew {
 			a.changed = true
 		}
-		a.shapeAdd(o, t)
+		a.recordRoot(o, t.root)
+		next = append(next, int32(t.ID))
 	}
-	if len(o.shapes.set) > maxObjShapes {
+	a.idBuf = next
+	// Distinct held layouts give distinct targets, so next is a set.
+	slices.Sort(next)
+	if !idSet(next).subsetOf(o.shapes.ids) {
+		o.shapes.ids, _ = o.shapes.ids.union(append(idSet(nil), next...))
+		a.changed = true
+	}
+	if len(o.shapes.ids) > maxObjShapes {
 		o.shapes.widen()
 		a.changed = true
 	}
@@ -579,7 +593,7 @@ func (a *analyzer) fnPrototype(o *absObj, creator string) *cell {
 			po.shapes.widen()
 		}
 		po.field("constructor").update(objVal(o))
-		a.addProto(po, a.builtinObjs["Object.prototype"])
+		a.addProto(po, a.builtin("Object.prototype"))
 		a.protoObjs[o] = po
 		a.changed = true
 	}
@@ -593,8 +607,8 @@ func (a *analyzer) fnPrototype(o *absObj, creator string) *cell {
 
 // ---- Keyed access ----
 
-func (a *analyzer) loadKeyed(si bytecode.SiteInfo, recv, key absVal) absVal {
-	a.recordSite(si, recv)
+func (a *analyzer) loadKeyed(si *siteUse, recv, key absVal) absVal {
+	a.recordSite(si.rec, recv)
 	if recv.top {
 		return topVal
 	}
@@ -605,7 +619,8 @@ func (a *analyzer) loadKeyed(si bytecode.SiteInfo, recv, key absVal) absVal {
 	if recv.prims&(pNum|pBool) != 0 {
 		out = out.join(primVal(pUndef))
 	}
-	for _, o := range recv.objsSorted() {
+	for _, id := range recv.objs {
+		o := a.objs[id]
 		if o.escaped {
 			return topVal
 		}
@@ -625,22 +640,24 @@ func (a *analyzer) loadKeyed(si bytecode.SiteInfo, recv, key absVal) absVal {
 				out = out.join(allOwnFieldVals(o))
 				continue
 			}
-			out = out.join(a.anyNamedLoad(o, si, map[*absObj]bool{}))
+			a.newVisit()
+			out = out.join(a.anyNamedLoad(o, si))
 			continue
 		}
 		// Named access through ToString(key) with a statically-unknown
 		// name: anything o or its chain holds may answer.
-		out = out.join(a.anyNamedLoad(o, si, map[*absObj]bool{}))
+		a.newVisit()
+		out = out.join(a.anyNamedLoad(o, si))
 	}
 	return out
 }
 
 // allOwnFieldVals joins every own named field of o plus its unknown-name
-// catch-all cell.
+// catch-all cell. Join is commutative, so map order does not matter.
 func allOwnFieldVals(o *absObj) absVal {
 	out := primVal(pUndef)
-	for _, n := range o.fieldNames() {
-		out = out.join(o.fields[n].get())
+	for _, c := range o.fields {
+		out.joinIn(c.get())
 	}
 	if o.unknown != nil {
 		out = out.join(o.unknown.get())
@@ -649,12 +666,12 @@ func allOwnFieldVals(o *absObj) absVal {
 }
 
 // anyNamedLoad joins every value a named load with a statically-unknown
-// property name could produce from o or its prototype chain.
-func (a *analyzer) anyNamedLoad(o *absObj, si bytecode.SiteInfo, seen map[*absObj]bool) absVal {
-	if seen[o] {
+// property name could produce from o or its prototype chain, skipping
+// objects already visited.
+func (a *analyzer) anyNamedLoad(o *absObj, si *siteUse) absVal {
+	if !a.visit(o) {
 		return absVal{}
 	}
-	seen[o] = true
 	if o.escaped || o.protoTop {
 		return topVal
 	}
@@ -665,21 +682,22 @@ func (a *analyzer) anyNamedLoad(o *absObj, si bytecode.SiteInfo, seen map[*absOb
 	if o.isFunc {
 		// The unknown name may be "prototype", materializing the default
 		// prototype object with this site as the transition creator.
-		out = out.join(a.fnPrototype(o, objects.Creator{Site: si.Site}.String()).get())
+		out = out.join(a.fnPrototype(o, si.rec.creatorName()).get())
 	}
-	for _, p := range protosSorted(o) {
-		out = out.join(a.anyNamedLoad(p, si, seen))
+	for _, pid := range o.protos {
+		out = out.join(a.anyNamedLoad(a.objs[pid], si))
 	}
 	return out
 }
 
-func (a *analyzer) storeKeyed(si bytecode.SiteInfo, recv, key, v absVal) {
-	a.recordSite(si, recv)
+func (a *analyzer) storeKeyed(si *siteUse, recv, key, v absVal) {
+	a.recordSite(si.rec, recv)
 	if recv.top {
 		a.escapeVal(v)
 		return
 	}
-	for _, o := range recv.objsSorted() {
+	for _, id := range recv.objs {
+		o := a.objs[id]
 		if o.escaped {
 			a.escapeVal(v)
 			continue
@@ -704,7 +722,8 @@ func (a *analyzer) unknownStore(o *absObj, v absVal) {
 }
 
 func (a *analyzer) deleteOn(recv absVal) {
-	for _, o := range recv.objsSorted() {
+	for _, id := range recv.objs {
+		o := a.objs[id]
 		if !o.maybeDict {
 			o.maybeDict = true
 			a.changed = true
@@ -721,19 +740,15 @@ func (a *analyzer) call(fnv, thisv absVal, args []absVal) absVal {
 		return topVal
 	}
 	var out absVal
-	for _, o := range fnv.objsSorted() {
-		out = out.join(a.callObj(o, thisv, args))
+	for _, id := range fnv.objs {
+		out = out.join(a.callObj(a.objs[id], thisv, args))
 	}
 	return out
 }
 
 func (a *analyzer) callObj(o *absObj, thisv absVal, args []absVal) absVal {
-	if len(o.fns) > 0 {
-		var out absVal
-		for p := range o.fns {
-			out = out.join(a.callProto(p, thisv, args))
-		}
-		return out
+	if o.fn != nil {
+		return a.callProto(o.fn, thisv, args)
 	}
 	if o.native != "" && o.isFunc {
 		return a.callNative(o, thisv, args)
@@ -773,11 +788,10 @@ func (a *analyzer) construct(ctorv absVal, args []absVal) absVal {
 		return topVal
 	}
 	var out absVal
-	for _, o := range ctorv.objsSorted() {
-		if len(o.fns) > 0 {
-			for p := range o.fns {
-				out = out.join(a.constructProto(o, p, args))
-			}
+	for _, id := range ctorv.objs {
+		o := a.objs[id]
+		if o.fn != nil {
+			out = out.join(a.constructProto(o, o.fn, args))
 			continue
 		}
 		if o.native != "" && o.isFunc {
@@ -800,8 +814,11 @@ func (a *analyzer) constructProto(fnObj *absObj, p *bytecode.FuncProto, args []a
 	if fi == nil {
 		return topVal
 	}
-	declSite := source.Site{Script: p.Script, Pos: p.DeclPos}
-	creator := objects.Creator{Site: declSite}.String()
+	if fi.creator == "" {
+		declSite := source.Site{Script: p.Script, Pos: p.DeclPos}
+		fi.creator = objects.Creator{Site: declSite}.String()
+	}
+	creator := fi.creator
 	inst := a.instances[p]
 	if inst == nil {
 		inst = a.newObj("new " + p.FunctionName())
@@ -814,8 +831,8 @@ func (a *analyzer) constructProto(fnObj *absObj, p *bytecode.FuncProto, args []a
 		inst.protoTop = true
 		a.changed = true
 	}
-	for _, po := range pv.objsSorted() {
-		a.addProto(inst, po)
+	for _, id := range pv.objs {
+		a.addProto(inst, a.objs[id])
 	}
 	if !fi.reachable {
 		fi.reachable = true
@@ -841,19 +858,4 @@ func objPart(v absVal) absVal {
 		return absVal{}
 	}
 	return absVal{objs: v.objs}
-}
-
-func protosSorted(o *absObj) []*absObj {
-	out := make([]*absObj, 0, len(o.protos))
-	for p := range o.protos {
-		out = append(out, p)
-	}
-	if len(out) > 1 {
-		for i := 1; i < len(out); i++ {
-			for j := i; j > 0 && out[j].id < out[j-1].id; j-- {
-				out[j], out[j-1] = out[j-1], out[j]
-			}
-		}
-	}
-	return out
 }

@@ -41,8 +41,8 @@ func (a *analyzer) typedShapes() map[*Shape][]objects.SlotType {
 			// claim is justifiable anywhere.
 			return nil
 		}
-		for r := range o.roots {
-			poisoned[r] = true
+		for _, r := range o.roots {
+			poisoned[a.graph.shapes[r]] = true
 		}
 	}
 	holders := map[*Shape][]*absObj{}
@@ -50,8 +50,8 @@ func (a *analyzer) typedShapes() map[*Shape][]objects.SlotType {
 		if o.escaped || o.shapes.top {
 			continue
 		}
-		for s := range o.shapes.set {
-			holders[s] = append(holders[s], o)
+		for _, s := range o.shapes.ids {
+			holders[a.graph.shapes[s]] = append(holders[a.graph.shapes[s]], o)
 		}
 	}
 	out := map[*Shape][]objects.SlotType{}

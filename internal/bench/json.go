@@ -5,6 +5,7 @@ import (
 	"io"
 	"time"
 
+	"ricjs/internal/analysis"
 	"ricjs/internal/profiler"
 )
 
@@ -100,11 +101,16 @@ type JSONLibrary struct {
 	RICTimeMs        float64 `json:"ricTimeMs"`
 	TimeRatioPct     float64 `json:"timeRatioPct"`
 
-	// Section 7.3.
-	ExtractTimeMs  float64 `json:"extractTimeMs"`
-	RecordBytes    int     `json:"recordBytes"`
-	DependentSlots int     `json:"dependentSlots"`
-	MissesAverted  uint64  `json:"missesAverted"`
+	// Section 7.3. Extraction is the IC walk plus the static analysis;
+	// analysisWork is the analysis' deterministic cost proxy, which
+	// perfgate gates exactly.
+	ExtractTimeMs  float64       `json:"extractTimeMs"`
+	ICWalkTimeMs   float64       `json:"icWalkTimeMs"`
+	AnalyzeTimeMs  float64       `json:"analyzeTimeMs"`
+	AnalysisWork   analysis.Work `json:"analysisWork"`
+	RecordBytes    int           `json:"recordBytes"`
+	DependentSlots int           `json:"dependentSlots"`
+	MissesAverted  uint64        `json:"missesAverted"`
 
 	// Typed-shape static inference: what the extraction-time analysis
 	// inferred and how often the Reuse run served the typed fast path.
@@ -184,6 +190,9 @@ func BuildJSON(runs []LibraryRun, website *WebsiteRun) JSONResults {
 			RICTimeMs:           msDuration(r.RICTime),
 			TimeRatioPct:        100 * (1 - r.TimeReduction()),
 			ExtractTimeMs:       msDuration(r.ExtractTime),
+			ICWalkTimeMs:        msDuration(r.ICWalkTime),
+			AnalyzeTimeMs:       msDuration(r.AnalyzeTime),
+			AnalysisWork:        r.AnalysisWork,
 			RecordBytes:         r.RecordBytes,
 			DependentSlots:      r.RecordStats.DependentSlots,
 			MissesAverted:       r.RIC.MissesSaved,

@@ -8,6 +8,9 @@ import (
 	"time"
 
 	"ricjs"
+	"ricjs/internal/analysis"
+	"ricjs/internal/codecache"
+	"ricjs/internal/ric"
 	"ricjs/internal/workloads"
 )
 
@@ -25,7 +28,13 @@ type LibraryRun struct {
 	ConvTime time.Duration
 	RICTime  time.Duration
 
+	// ExtractTime is the wall time of Engine.ExtractRecord. It has two
+	// phases, each timed again on its own: the IC walk (ric.Extract) and
+	// the static analysis attaching typed-slot claims.
 	ExtractTime  time.Duration
+	ICWalkTime   time.Duration
+	AnalyzeTime  time.Duration
+	AnalysisWork analysis.Work
 	RecordBytes  int
 	RecordStats  RecordStats
 	StaticTypes  StaticTypeStats
@@ -133,11 +142,26 @@ func MeasureLibrary(p workloads.Profile, opts Options) (LibraryRun, error) {
 	extractTime := time.Since(extractStart)
 	encoded := record.Encode()
 
+	// Time the two extraction phases apart, on the same inputs.
+	walkStart := time.Now()
+	ric.Extract(initial.VM(), p.Name, ric.Config{IncludeGlobals: opts.IncludeGlobals})
+	icWalkTime := time.Since(walkStart)
+	prog, err := codecache.New().Load(p.Script, src)
+	if err != nil {
+		return LibraryRun{}, err
+	}
+	analyzeStart := time.Now()
+	res := analysis.Analyze(prog)
+	analyzeTime := time.Since(analyzeStart)
+
 	run := LibraryRun{
-		Name:        p.Name,
-		Initial:     initial.Stats(),
-		ExtractTime: extractTime,
-		RecordBytes: len(encoded),
+		Name:         p.Name,
+		Initial:      initial.Stats(),
+		ExtractTime:  extractTime,
+		ICWalkTime:   icWalkTime,
+		AnalyzeTime:  analyzeTime,
+		AnalysisWork: res.Work(),
+		RecordBytes:  len(encoded),
 		RecordStats: RecordStats{
 			HiddenClasses:   record.Stats().HiddenClasses,
 			TriggeringSites: record.Stats().TriggeringSites,
