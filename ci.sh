@@ -2,7 +2,7 @@
 # ci.sh — the canonical check for this repository.
 #
 # Runs static analysis, a full build, the test suite under the race
-# detector, and a short budget of both fuzz targets. Everything here must
+# detector, and a short budget of each fuzz target. Everything here must
 # pass before a change lands.
 set -eu
 
@@ -13,8 +13,9 @@ go vet ./...
 
 echo "== opcheck: opcode + value-type-table exhaustiveness =="
 # Runs both analyzers: opcheck (disassembly entry, VM dispatch case,
-# transfer case per opcode) and typecheck-transfer (opValueKind case per
-# named opcode, so typed-shape inference never silently weakens).
+# transfer case per opcode; every opcode is canonical, so each has exactly
+# one dispatch path) and typecheck-transfer (opValueKind case per named
+# opcode, so typed-shape inference never silently weakens).
 go run ./cmd/opcheck ./internal/bytecode ./internal/vm ./internal/analysis
 
 echo "== go build =="
@@ -136,11 +137,12 @@ echo "== perf gate: deterministic counters + load floor vs BENCH_baseline.json =
 # reproducible, so they are gated exactly (tolerance 2%), with zero
 # flake; wall-clock timings are deliberately not gated — except the
 # open-loop load smoke, which is gated only as a very conservative
-# throughput floor (a quarter of healthy) so it catches the read path
-# growing a lock or sessions serializing, never scheduler noise. The
-# same run must also serve every session with zero failures and zero
-# output mismatches. After a
-# legitimate improvement, refresh and commit the baseline:
+# throughput floor (46 sessions/s: a quarter of the median of five runs
+# of this command on a 2-core host, 186 sessions/s) so it catches the
+# read path growing a lock or sessions serializing, never scheduler
+# noise. The same run must also serve every session with zero failures
+# and zero output mismatches. After a legitimate improvement, refresh
+# and commit the baseline:
 #   go run ./cmd/ricbench -format json | go run ./cmd/perfgate -write
 go run ./cmd/ricbench -format json -load -load-sessions 80 -load-rate 400 -load-cold 4 | go run ./cmd/perfgate
 
@@ -149,5 +151,10 @@ go test -run '^$' -fuzz '^FuzzDecodeRecord$' -fuzztime 10s ./internal/ric/
 
 echo "== fuzz: FuzzReuseRun (10s) =="
 go test -run '^$' -fuzz '^FuzzReuseRun$' -fuzztime 10s .
+
+echo "== fuzz: FuzzCompile (10s) =="
+# Arbitrary source through parse + compile (via the code cache): a
+# program or an error, never a panic or a stack overflow.
+go test -run '^$' -fuzz '^FuzzCompile$' -fuzztime 10s ./internal/codecache/
 
 echo "ci.sh: all checks passed"

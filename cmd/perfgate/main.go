@@ -9,11 +9,7 @@
 // regression beyond the tolerance (default 2%). `typedFastHits` is gated
 // in the opposite direction — it counts loads the Reuse run served through
 // the typed-slot fast path, so a drop means typed-shape inference silently
-// lost coverage. `quickenedExecutions` and `fusedExecutions` are floored
-// the same way: they count dispatches served by quickened and fused
-// opcodes in a quickened conventional run, so a drop means the bytecode
-// overlay silently stopped engaging while outputs stayed correct.
-// `analysisWork` — the static analysis' fixpoint rounds, function runs,
+// lost coverage. `analysisWork` — the static analysis' fixpoint rounds, function runs,
 // blocks, instruction steps, state merges and state clones — is a pure
 // function of the workload source, so it is gated exactly like
 // instructions: a rise means the analysis does more work for the same
@@ -45,9 +41,7 @@ type gated struct {
 	StaticTypes              struct {
 		TypedFastHits uint64 `json:"typedFastHits"`
 	} `json:"staticTypes"`
-	QuickenedExecutions uint64        `json:"quickenedExecutions"`
-	FusedExecutions     uint64        `json:"fusedExecutions"`
-	AnalysisWork        analysis.Work `json:"analysisWork"`
+	AnalysisWork analysis.Work `json:"analysisWork"`
 }
 
 type baseline struct {
@@ -195,8 +189,6 @@ func main() {
 		check(w.Name, "ricInstructions", old.RICInstructions, w.RICInstructions)
 		check(w.Name, "recordBytes", old.RecordBytes, w.RecordBytes)
 		checkFloor(w.Name, "typedFastHits", old.StaticTypes.TypedFastHits, w.StaticTypes.TypedFastHits)
-		checkFloor(w.Name, "quickenedExecutions", old.QuickenedExecutions, w.QuickenedExecutions)
-		checkFloor(w.Name, "fusedExecutions", old.FusedExecutions, w.FusedExecutions)
 		ow, nw := old.AnalysisWork, w.AnalysisWork
 		check(w.Name, "analysisWork.rounds", ow.Rounds, nw.Rounds)
 		check(w.Name, "analysisWork.fnRuns", ow.FnRuns, nw.FnRuns)

@@ -8,7 +8,37 @@ import (
 	"testing"
 )
 
-var update = flag.Bool("update", false, "rewrite the golden -analyze listing")
+var update = flag.Bool("update", false, "rewrite the golden listings")
+
+// listingGolden runs ricdis over the point fixture and compares the
+// listing against testdata/<golden>, rewriting it under -update.
+func listingGolden(t *testing.T, analyze bool, golden string) []byte {
+	t.Helper()
+	var out, errw bytes.Buffer
+	if rc := run(&out, &errw, false, analyze, []string{"../../testdata/point.js"}); rc != 0 {
+		t.Fatalf("ricdis failed (rc %d): %s", rc, errw.String())
+	}
+	if errw.Len() != 0 {
+		t.Fatalf("unexpected warnings: %s", errw.String())
+	}
+	path := filepath.Join("testdata", golden)
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out.Bytes(), want) {
+		t.Fatalf("listing drifted from %s (rerun with -update if deliberate):\n--- got ---\n%s\n--- want ---\n%s", golden, out.Bytes(), want)
+	}
+	return out.Bytes()
+}
 
 // TestAnalyzeGolden pins the -analyze listing for the point fixture: site
 // order, shape-id order, and the typed-slot annotations are all
@@ -16,70 +46,25 @@ var update = flag.Bool("update", false, "rewrite the golden -analyze listing")
 //
 //	go test ./cmd/ricdis -run TestAnalyzeGolden -update
 func TestAnalyzeGolden(t *testing.T) {
-	var out, errw bytes.Buffer
-	if rc := run(&out, &errw, false, true, false, []string{"../../testdata/point.js"}); rc != 0 {
-		t.Fatalf("ricdis -analyze failed (rc %d): %s", rc, errw.String())
-	}
-	if errw.Len() != 0 {
-		t.Fatalf("unexpected warnings: %s", errw.String())
-	}
-	golden := filepath.Join("testdata", "point-analyze.golden")
-	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, out.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(out.Bytes(), want) {
-		t.Fatalf("-analyze listing drifted from golden (rerun with -update if deliberate):\n--- got ---\n%s\n--- want ---\n%s", out.Bytes(), want)
-	}
+	out := listingGolden(t, true, "point-analyze.golden")
 	// The listing must actually exercise the typed annotations — an empty
 	// match would pass vacuously if inference silently stopped producing
 	// claims.
-	if !bytes.Contains(out.Bytes(), []byte(":float")) && !bytes.Contains(out.Bytes(), []byte(":smallint")) {
+	if !bytes.Contains(out, []byte(":float")) && !bytes.Contains(out, []byte(":smallint")) {
 		t.Fatal("golden listing contains no typed-slot annotations")
 	}
 }
 
-// TestQuickenGolden pins the -quicken overlay listing for the same
-// fixture: the VM's in-place rewrites are deterministic for a
-// deterministic program, so the `base-op [overlay-op]` annotations are
-// byte-stable. Regenerate deliberately:
+// TestDisassembleGolden pins the default listing for the same fixture:
+// bytecode with operand annotations, then each function's site table.
+// Regenerate deliberately:
 //
-//	go test ./cmd/ricdis -run TestQuickenGolden -update
-func TestQuickenGolden(t *testing.T) {
-	var out, errw bytes.Buffer
-	if rc := run(&out, &errw, false, false, true, []string{"../../testdata/point.js"}); rc != 0 {
-		t.Fatalf("ricdis -quicken failed (rc %d): %s", rc, errw.String())
-	}
-	if errw.Len() != 0 {
-		t.Fatalf("unexpected warnings: %s", errw.String())
-	}
-	golden := filepath.Join("testdata", "point-quicken.golden")
-	if *update {
-		if err := os.WriteFile(golden, out.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(out.Bytes(), want) {
-		t.Fatalf("-quicken listing drifted from golden (rerun with -update if deliberate):\n--- got ---\n%s\n--- want ---\n%s", out.Bytes(), want)
-	}
-	// The fixture's hot loops must actually quicken and fuse — a listing
-	// with no overlay annotations would pass vacuously if the rewrite
-	// stopped engaging.
-	for _, marker := range []string{"[LoadNamedMonoFast]", "[Fused"} {
-		if !bytes.Contains(out.Bytes(), []byte(marker)) {
-			t.Fatalf("golden listing contains no %q annotation:\n%s", marker, out.Bytes())
+//	go test ./cmd/ricdis -run TestDisassembleGolden -update
+func TestDisassembleGolden(t *testing.T) {
+	out := listingGolden(t, false, "point-disasm.golden")
+	for _, marker := range []string{"function <main>", "sites of <main>:", "LoadNamed"} {
+		if !bytes.Contains(out, []byte(marker)) {
+			t.Fatalf("listing contains no %q:\n%s", marker, out)
 		}
 	}
 }

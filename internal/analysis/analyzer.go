@@ -456,16 +456,10 @@ func (fi *fnInfo) findBlocks() {
 	for pc := 0; pc < n; {
 		op := bytecode.Op(code[pc])
 		next := pc + 1 + op.OperandCount()
-		target := -1
 		switch op {
 		case bytecode.OpJump, bytecode.OpJumpIfFalse, bytecode.OpJumpIfTrue, bytecode.OpTryPush:
-			target = 1
-		case bytecode.OpFusedLtJumpIfFalse:
-			target = 2
-		}
-		if target > 0 {
-			if pc+target < n {
-				leader(int(code[pc+target]))
+			if pc+1 < n {
+				leader(int(code[pc+1]))
 			}
 			leader(next)
 		}

@@ -115,12 +115,6 @@ type JSONLibrary struct {
 	// Typed-shape static inference: what the extraction-time analysis
 	// inferred and how often the Reuse run served the typed fast path.
 	StaticTypes JSONStaticTypes `json:"staticTypes"`
-
-	// Quickening overlay counters from a quickened conventional run.
-	// Deterministic; perfgate floors both so quickened/fused dispatch
-	// coverage cannot silently regress.
-	QuickenedExecutions uint64 `json:"quickenedExecutions"`
-	FusedExecutions     uint64 `json:"fusedExecutions"`
 }
 
 // JSONStaticTypes is one library's typed-shape summary. All four values
@@ -202,8 +196,6 @@ func BuildJSON(runs []LibraryRun, website *WebsiteRun) JSONResults {
 				TypedSlots:    r.StaticTypes.TypedSlots,
 				TypedFastHits: r.StaticTypes.TypedFastHits,
 			},
-			QuickenedExecutions: r.QuickenedExecutions,
-			FusedExecutions:     r.FusedExecutions,
 		}
 		out.Libraries = append(out.Libraries, lib)
 		out.Averages.InitialMissRatePct += lib.InitialMissRatePct / n
@@ -250,8 +242,8 @@ func (r *JSONResults) AddThroughput(results []ThroughputResult) {
 }
 
 // JSONOpStats is the dispatch-histogram block (`ricbench -opstats`):
-// the executed-opcode and adjacent-pair top lists that justify the
-// superinstruction selection. Deterministic for a fixed workload set.
+// the executed-opcode and adjacent-pair top lists. Deterministic for a
+// fixed workload set.
 type JSONOpStats struct {
 	Workloads     int             `json:"workloads"`
 	TotalExecuted uint64          `json:"totalExecuted"`
@@ -266,13 +258,11 @@ type JSONOpCount struct {
 	SharePct float64 `json:"sharePct"`
 }
 
-// JSONPairCount is one adjacent-pair row; Fused marks pairs the
-// superinstruction table already covers.
+// JSONPairCount is one adjacent-pair row.
 type JSONPairCount struct {
 	First  string `json:"first"`
 	Second string `json:"second"`
 	Count  uint64 `json:"count"`
-	Fused  bool   `json:"fused"`
 }
 
 // AddOpStats attaches the dispatch histogram to the results.
@@ -282,7 +272,7 @@ func (r *JSONResults) AddOpStats(res OpStatsResult) {
 		out.TopOps = append(out.TopOps, JSONOpCount{Op: o.Op, Count: o.Count, SharePct: o.SharePct})
 	}
 	for _, p := range res.TopPairs {
-		out.TopPairs = append(out.TopPairs, JSONPairCount{First: p.First, Second: p.Second, Count: p.Count, Fused: p.Fused})
+		out.TopPairs = append(out.TopPairs, JSONPairCount{First: p.First, Second: p.Second, Count: p.Count})
 	}
 	r.OpStats = out
 }

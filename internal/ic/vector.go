@@ -120,8 +120,8 @@ const (
 	// dynamic type dispatch (and SmallInt slots unbox to int32).
 	FastLoadFieldTyped
 	// FastLoadElement reads an array element at the (dynamic) integer key;
-	// the keyed-load dispatch and its quickened form use it to recognize
-	// the element hit without a handler type-switch.
+	// the keyed-load dispatch uses it to recognize the element hit
+	// without a handler type-switch.
 	FastLoadElement
 )
 

@@ -230,7 +230,7 @@ func (o *Object) GetNamed(name string) (Value, bool) {
 	return holder.slots[off], true
 }
 
-// GetNamedID is the fused ID-keyed chain read: one walk resolves holder,
+// GetNamedID is the single-walk ID-keyed chain read: one walk resolves holder,
 // offset, and value without re-probing the layout (the old path did a
 // Lookup-then-Offset double probe through the string-keyed table).
 func (o *Object) GetNamedID(id symtab.ID, name string) (Value, bool) {

@@ -30,12 +30,31 @@ func (e *Error) Error() string {
 	return fmt.Sprintf("%s:%s: %s", e.Script, e.Pos, e.Msg)
 }
 
+// maxNesting bounds how deep a script may nest, which bounds both the
+// parser's recursion and the height of the AST the compiler recurses
+// over. Every statement, assignment-level expression and prefix operator
+// being parsed holds one level, so a parenthesized or array-literal
+// expression, a nested block or if, and a prefix operator each cost one
+// level per nesting, and a nested function literal two. Left-nested
+// chains built by a loop (a + b + c, a.b(c)[d]) cost one level per link
+// above their deepest operand. The deepest input among the workload
+// profiles, the examples, the testdata scripts and progen seeds 0-9999
+// reaches 14 levels. Past the limit the parser returns a syntax error
+// instead of exhausting the goroutine stack, which the Go runtime treats
+// as a fatal error that no recover can catch.
+const maxNesting = 1000
+
 // Parser parses one script.
 type Parser struct {
 	script string
 	lx     *lexer.Lexer
 	tok    token.Token
 	ahead  *token.Token
+	// depth is the number of nesting levels held by the productions
+	// being parsed; peak is the deepest level reached by the chain being
+	// measured (see chainStart).
+	depth int
+	peak  int
 }
 
 // Parse parses a complete script.
@@ -81,6 +100,42 @@ func (p *Parser) peek() (token.Token, error) {
 	return *p.ahead, nil
 }
 
+func (p *Parser) nestingError() error {
+	return p.errf(p.tok.Pos, "nesting exceeds %d levels", maxNesting)
+}
+
+// enter claims one nesting level for a recursive production; when it
+// succeeds, the caller calls leave once the production is parsed.
+func (p *Parser) enter() error {
+	if p.depth >= maxNesting {
+		return p.nestingError()
+	}
+	p.depth++
+	p.peak = max(p.peak, p.depth)
+	return nil
+}
+
+func (p *Parser) leave() { p.depth-- }
+
+// chainStart begins measuring a left-nested chain at the current depth.
+// Each link the loop adds wraps every operand parsed so far, so it sits
+// one level above the chain's peak (chainLink); chainEnd folds the
+// chain's height back into the enclosing measurement.
+func (p *Parser) chainStart() (outer int) {
+	outer, p.peak = p.peak, p.depth
+	return outer
+}
+
+func (p *Parser) chainLink() error {
+	if p.peak >= maxNesting {
+		return p.nestingError()
+	}
+	p.peak++
+	return nil
+}
+
+func (p *Parser) chainEnd(outer int) { p.peak = max(p.peak, outer) }
+
 func (p *Parser) errf(pos source.Pos, format string, args ...any) error {
 	return &Error{Script: p.script, Pos: pos, Msg: fmt.Sprintf(format, args...)}
 }
@@ -106,7 +161,17 @@ func (p *Parser) eatSemi() error {
 
 // ---- Statements ----
 
+// statement parses one statement, holding a nesting level for it.
 func (p *Parser) statement() (ast.Stmt, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	s, err := p.statementBody()
+	p.leave()
+	return s, err
+}
+
+func (p *Parser) statementBody() (ast.Stmt, error) {
 	switch p.tok.Kind {
 	case token.KwVar:
 		return p.varDecl(true)
@@ -591,7 +656,18 @@ func (p *Parser) switchStmt() (ast.Stmt, error) {
 
 func (p *Parser) expression() (ast.Expr, error) { return p.assignExpr() }
 
+// assignExpr parses an assignment-level expression, holding a nesting
+// level for it.
 func (p *Parser) assignExpr() (ast.Expr, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	x, err := p.assignBody()
+	p.leave()
+	return x, err
+}
+
+func (p *Parser) assignBody() (ast.Expr, error) {
 	left, err := p.condExpr()
 	if err != nil {
 		return nil, err
@@ -683,7 +759,16 @@ func binPrec(k token.Kind) int {
 	}
 }
 
+// binaryExpr parses a chain of binary operators at precedence minPrec or
+// above; every operand's member/call chain is measured inside it too.
 func (p *Parser) binaryExpr(minPrec int) (ast.Expr, error) {
+	outer := p.chainStart()
+	x, err := p.binaryChain(minPrec)
+	p.chainEnd(outer)
+	return x, err
+}
+
+func (p *Parser) binaryChain(minPrec int) (ast.Expr, error) {
 	left, err := p.unaryExpr()
 	if err != nil {
 		return nil, err
@@ -699,6 +784,9 @@ func (p *Parser) binaryExpr(minPrec int) (ast.Expr, error) {
 		}
 		right, err := p.binaryExpr(prec + 1)
 		if err != nil {
+			return nil, err
+		}
+		if err := p.chainLink(); err != nil {
 			return nil, err
 		}
 		op := opTok.Kind.String()
@@ -724,7 +812,7 @@ func (p *Parser) unaryExpr() (ast.Expr, error) {
 		if err := p.next(); err != nil {
 			return nil, err
 		}
-		operand, err := p.unaryExpr()
+		operand, err := p.prefixOperand()
 		if err != nil {
 			return nil, err
 		}
@@ -735,7 +823,7 @@ func (p *Parser) unaryExpr() (ast.Expr, error) {
 		if err := p.next(); err != nil {
 			return nil, err
 		}
-		operand, err := p.unaryExpr()
+		operand, err := p.prefixOperand()
 		if err != nil {
 			return nil, err
 		}
@@ -745,6 +833,17 @@ func (p *Parser) unaryExpr() (ast.Expr, error) {
 	default:
 		return p.postfixExpr()
 	}
+}
+
+// prefixOperand parses the operand of a prefix operator, holding a
+// nesting level for the operator.
+func (p *Parser) prefixOperand() (ast.Expr, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	x, err := p.unaryExpr()
+	p.leave()
+	return x, err
 }
 
 func (p *Parser) newExpr() (ast.Expr, error) {
@@ -759,6 +858,9 @@ func (p *Parser) newExpr() (ast.Expr, error) {
 	}
 	callee, err = p.callTail(callee, false)
 	if err != nil {
+		return nil, err
+	}
+	if err := p.chainLink(); err != nil {
 		return nil, err
 	}
 	n := &ast.NewExpr{P: pos, Callee: callee}
@@ -802,6 +904,9 @@ func (p *Parser) postfixTail(x ast.Expr) (ast.Expr, error) {
 	if p.tok.Is(token.PlusPlus) || p.tok.Is(token.MinusMinus) {
 		op := p.tok.Kind.String()
 		pos := p.tok.Pos
+		if err := p.chainLink(); err != nil {
+			return nil, err
+		}
 		if err := p.next(); err != nil {
 			return nil, err
 		}
@@ -811,6 +916,7 @@ func (p *Parser) postfixTail(x ast.Expr) (ast.Expr, error) {
 }
 
 // callTail parses chains of .name, [index] and (args) after a primary.
+// The enclosing binaryExpr measures the chain from before the primary.
 func (p *Parser) callTail(x ast.Expr, allowCall bool) (ast.Expr, error) {
 	for {
 		switch p.tok.Kind {
@@ -826,6 +932,9 @@ func (p *Parser) callTail(x ast.Expr, allowCall bool) (ast.Expr, error) {
 			if err := p.next(); err != nil {
 				return nil, err
 			}
+			if err := p.chainLink(); err != nil {
+				return nil, err
+			}
 			x = &ast.MemberExpr{P: pos, Obj: x, Name: name}
 		case token.LBracket:
 			pos := p.tok.Pos
@@ -837,6 +946,9 @@ func (p *Parser) callTail(x ast.Expr, allowCall bool) (ast.Expr, error) {
 				return nil, err
 			}
 			if _, err := p.expect(token.RBracket); err != nil {
+				return nil, err
+			}
+			if err := p.chainLink(); err != nil {
 				return nil, err
 			}
 			x = &ast.IndexExpr{P: pos, Obj: x, Index: idx}
@@ -862,6 +974,9 @@ func (p *Parser) callTail(x ast.Expr, allowCall bool) (ast.Expr, error) {
 				}
 			}
 			if err := p.next(); err != nil { // skip )
+				return nil, err
+			}
+			if err := p.chainLink(); err != nil {
 				return nil, err
 			}
 			x = call

@@ -116,9 +116,9 @@ func (vm *VM) loadNamed(objVal objects.Value, slot *ic.Slot) (objects.Value, err
 			return o.Slot(int(e.FastOffset)), nil
 		}
 		if e.Fast == ic.FastLoadFieldTyped && !e.Preloaded {
-			// Typed denormalized hit (LoadNamedTypedFast when the inline
-			// dispatch path is bypassed, e.g. under a site observer):
-			// identical accounting, typed-slot read.
+			// Typed denormalized hit, reached when the inline dispatch
+			// path is bypassed (e.g. under a site observer): identical
+			// accounting, typed-slot read.
 			vm.Prof.Hit(idx, false)
 			vm.Prof.TypedFastHit()
 			vm.emit(trace.EvICHit, slot.Site, slot.Name, int64(idx))
