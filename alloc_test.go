@@ -1,10 +1,16 @@
 package ricjs_test
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
+	"ricjs/internal/bytecode"
+	"ricjs/internal/codecache"
 	"ricjs/internal/objects"
+	"ricjs/internal/ric"
 	"ricjs/internal/vm"
+	"ricjs/internal/workloads"
 )
 
 // zeroAllocCall asserts that steady-state invocations of a warmed-up
@@ -114,4 +120,88 @@ func TestNestedCallZeroAlloc(t *testing.T) {
 		}
 		bench();`, "bench")
 	zeroAllocCall(t, "nested calls", v, fn)
+}
+
+// registerAllocs reports the allocations of registering an already-cached
+// program in a fresh VM. The VMs are built beforehand, so only the
+// registration is measured.
+func registerAllocs(t *testing.T, prog *bytecode.Program) float64 {
+	t.Helper()
+	const runs = 10
+	prog.Layout() // cached: the shared index already exists
+	vms := make([]*vm.VM, runs+1)
+	for i := range vms {
+		vms[i] = vm.New(vm.Options{})
+	}
+	next := 0
+	return testing.AllocsPerRun(runs, func() {
+		vms[next].RegisterProgram(prog)
+		next++
+	})
+}
+
+// cachedProgram compiles src through a code cache, as a session would
+// receive it.
+func cachedProgram(t *testing.T, name, src string) *bytecode.Program {
+	t.Helper()
+	prog, err := codecache.New().Load(name, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prog
+}
+
+// TestRegisterProgramAllocsFlat pins the shared site index: registering a
+// cached program allocates one slot slab and one vector array however
+// many sites the program has, and never a per-site index. Two programs
+// with the same functions but 1 and 400 sites must cost the same, and
+// React, the largest profile, no more than one allocation per function
+// plus a small constant.
+func TestRegisterProgramAllocsFlat(t *testing.T) {
+	var wide strings.Builder
+	for i := 0; i < 400; i++ {
+		fmt.Fprintf(&wide, " + o.p%d", i)
+	}
+	narrow := cachedProgram(t, "narrow.js", "function f(o) { return o.p0; }")
+	broad := cachedProgram(t, "broad.js", "function f(o) { return 0"+wide.String()+"; }")
+	if n, b := narrow.CountSites(), broad.CountSites(); b < n+399 {
+		t.Fatalf("site counts %d and %d: the broad program must have 399 more", n, b)
+	}
+	if a, b := registerAllocs(t, narrow), registerAllocs(t, broad); a != b {
+		t.Errorf("registration allocs grow with sites: %v for %d sites, %v for %d",
+			a, narrow.CountSites(), b, broad.CountSites())
+	}
+
+	p, _ := workloads.ByName("React")
+	react := cachedProgram(t, p.Script, p.Source())
+	const slack = 8
+	protos := len(react.Layout().Protos)
+	if got := registerAllocs(t, react); got > float64(protos+slack) {
+		t.Errorf("registering React (%d functions, %d sites): %v allocs/op, want <= %d",
+			protos, react.CountSites(), got, protos+slack)
+	}
+}
+
+// TestRecordValidateAllocFree pins the other reader of the shared index:
+// validating React's record against its cached program builds no map
+// and allocates nothing.
+func TestRecordValidateAllocFree(t *testing.T) {
+	p, _ := workloads.ByName("React")
+	prog := cachedProgram(t, p.Script, p.Source())
+	v := vm.New(vm.Options{})
+	if _, err := v.RunProgram(prog); err != nil {
+		t.Fatal(err)
+	}
+	rec := ric.Extract(v, p.Name, ric.Config{})
+	if len(rec.Deps) == 0 || len(rec.SiteTOAST) == 0 {
+		t.Fatal("React record is empty: the test would validate nothing")
+	}
+	var verr error
+	allocs := testing.AllocsPerRun(20, func() { verr = rec.Validate(prog) })
+	if verr != nil {
+		t.Fatal(verr)
+	}
+	if allocs != 0 {
+		t.Errorf("Record.Validate: %v allocs/op, want 0", allocs)
+	}
 }

@@ -550,3 +550,37 @@ func BenchmarkRecordDecode(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkReuseSession serves one React Reuse session per op through a
+// warm SessionPool: the record was extracted by another pool and comes
+// from a store, the pool has decoded it once and compiled React once, so
+// an op is what a hot session pays — engine setup, validation against
+// the shared site index, preloading and execution. Run with -benchmem.
+func BenchmarkReuseSession(b *testing.B) {
+	p, _ := workloads.ByName("React")
+	store, err := ricjs.OpenRecordStore(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	req := ricjs.SessionRequest{Key: p.Name, Scripts: []ricjs.SessionScript{{Name: p.Script, Src: p.Source()}}}
+	if _, err := ricjs.NewSessionPool(ricjs.PoolOptions{Store: store}).Serve(req); err != nil {
+		b.Fatal(err)
+	}
+	pool := ricjs.NewSessionPool(ricjs.PoolOptions{Store: store})
+	if res, err := pool.Serve(req); err != nil {
+		b.Fatal(err)
+	} else if res.Mode != ricjs.SessionReuse {
+		b.Fatalf("warm-up session: mode %v, want reuse", res.Mode)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := pool.Serve(req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Mode != ricjs.SessionReuse {
+			b.Fatalf("session %d: mode %v, want reuse", i, res.Mode)
+		}
+	}
+}

@@ -11,6 +11,15 @@ cd "$(dirname "$0")"
 echo "== go vet =="
 go vet ./...
 
+echo "== gofmt =="
+# Every Go file must be gofmt-clean: gofmt -l lists the ones that are not.
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+  echo "ci.sh: gofmt -l reports unformatted files:" >&2
+  echo "$unformatted" >&2
+  exit 1
+fi
+
 echo "== opcheck: opcode + value-type-table exhaustiveness =="
 # Runs both analyzers: opcheck (disassembly entry, VM dispatch case,
 # transfer case per opcode; every opcode is canonical, so each has exactly

@@ -39,12 +39,6 @@ func Compile(prog *ast.Program) (*Program, error) {
 	if err := fc.compileBody(prog.Body); err != nil {
 		return nil, err
 	}
-	// Pre-render the per-call stack labels: protos are shared read-only
-	// across VMs afterwards (codecache), so the label must be fixed here,
-	// not lazily on the call path.
-	fc.proto.WalkProtos(func(p *FuncProto) {
-		p.CallLabel = p.FunctionName() + " (" + p.Script + ")"
-	})
 	return &Program{Script: prog.Script, Toplevel: fc.proto}, nil
 }
 

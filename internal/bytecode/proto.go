@@ -3,6 +3,7 @@ package bytecode
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"ricjs/internal/ic"
 	"ricjs/internal/source"
@@ -58,7 +59,8 @@ type FuncProto struct {
 	// hidden classes are keyed to it (paper Figure 2's Constructor HC).
 	DeclPos source.Pos
 	// CallLabel is the pre-rendered "name (script)" stack-trace label, so
-	// pushing a call frame allocates nothing.
+	// pushing a call frame allocates nothing. The program's layout build
+	// renders it, once, before any VM runs the function.
 	CallLabel string
 
 	NumParams int
@@ -126,15 +128,131 @@ func (p *FuncProto) WalkProtos(fn func(*FuncProto)) {
 }
 
 // Program is a compiled script: its toplevel function and metadata.
+// Programs are shared read-only across VMs (codecache); the layout is
+// the one piece derived lazily, once.
 type Program struct {
 	Script   string
 	Toplevel *FuncProto
+
+	layoutOnce sync.Once
+	layout     *Layout
 }
+
+// Layout returns the program's site and function index, building it on
+// first use. Every caller, on any goroutine, gets the same *Layout.
+func (p *Program) Layout() *Layout {
+	p.layoutOnce.Do(func() { p.layout = buildLayout(p.Toplevel) })
+	return p.layout
+}
+
+// SiteRef locates a feedback site in a Layout: the slot at Index of the
+// function Layout.Protos[Proto].
+type SiteRef struct {
+	Proto int32
+	Index int32
+}
+
+// Layout is a compiled program's immutable site and function index. A VM
+// registering the program carves one slot slab into per-function
+// ICVectors by SlotBase and resolves sites through it; record validation
+// checks site references against it. It is built once per Program and
+// never written afterwards, so any number of VMs and validations share
+// one copy.
+type Layout struct {
+	// Protos lists the program's functions in WalkProtos order.
+	Protos []*FuncProto
+	// SlotBase[i] is the offset of Protos[i]'s first feedback slot in a
+	// program-wide slot slab; the final entry is the total site count.
+	SlotBase []int32
+	// sites maps every feedback site to its position; when two slots
+	// share a site, the later one in walk order wins.
+	sites map[source.Site]SiteRef
+	// decls maps function declaration sites to their protos; nil when no
+	// function has a declaration position.
+	decls map[source.Site]*FuncProto
+}
+
+// buildLayout indexes the proto tree rooted at top. A first pass counts
+// functions, sites and declarations so every slice and map is allocated
+// once at its final size. It also renders call labels and backfills the
+// interned names of protos built outside the compiler, which the VM
+// requires; doing that here, under the program's sync.Once, keeps VMs
+// sharing a program from writing proto fields.
+func buildLayout(top *FuncProto) *Layout {
+	if top == nil {
+		return &Layout{SlotBase: []int32{0}}
+	}
+	var nProtos, nSites, nDecls int
+	top.WalkProtos(func(p *FuncProto) {
+		nProtos++
+		nSites += len(p.Sites)
+		if !p.DeclPos.IsZero() {
+			nDecls++
+		}
+	})
+	l := &Layout{
+		Protos:   make([]*FuncProto, 0, nProtos),
+		SlotBase: make([]int32, 0, nProtos+1),
+		sites:    make(map[source.Site]SiteRef, nSites),
+	}
+	if nDecls > 0 {
+		l.decls = make(map[source.Site]*FuncProto, nDecls)
+	}
+	base := int32(0)
+	top.WalkProtos(func(p *FuncProto) {
+		backfill(p)
+		fi := int32(len(l.Protos))
+		l.Protos = append(l.Protos, p)
+		l.SlotBase = append(l.SlotBase, base)
+		for i := range p.Sites {
+			l.sites[p.Sites[i].Site] = SiteRef{Proto: fi, Index: int32(i)}
+		}
+		base += int32(len(p.Sites))
+		if !p.DeclPos.IsZero() {
+			l.decls[source.Site{Script: p.Script, Pos: p.DeclPos}] = p
+		}
+	})
+	l.SlotBase = append(l.SlotBase, base)
+	return l
+}
+
+// backfill fills the fields the VM needs that a proto may lack: the
+// call label, and for a hand-built proto the interned name pool and
+// interned site names.
+func backfill(p *FuncProto) {
+	if len(p.NameIDs) != len(p.Names) {
+		p.NameIDs = make([]symtab.ID, len(p.Names))
+		for i, n := range p.Names {
+			p.NameIDs[i] = symtab.Intern(n)
+		}
+	}
+	for i := range p.Sites {
+		if si := &p.Sites[i]; si.NameID == symtab.None && si.Name != "" {
+			si.NameID = symtab.Intern(si.Name)
+		}
+	}
+	if p.CallLabel == "" {
+		p.CallLabel = p.FunctionName() + " (" + p.Script + ")"
+	}
+}
+
+// NumSites returns the program's total feedback site count.
+func (l *Layout) NumSites() int { return int(l.SlotBase[len(l.SlotBase)-1]) }
+
+// Lookup returns the position of the feedback site s.
+func (l *Layout) Lookup(s source.Site) (SiteRef, bool) {
+	ref, ok := l.sites[s]
+	return ref, ok
+}
+
+// Info returns the compile-time description of the site at ref.
+func (l *Layout) Info(ref SiteRef) *SiteInfo {
+	return &l.Protos[ref.Proto].Sites[ref.Index]
+}
+
+// Decl returns the function declared at site s, or nil.
+func (l *Layout) Decl(s source.Site) *FuncProto { return l.decls[s] }
 
 // CountSites returns the total number of feedback sites across all
 // functions in the program.
-func (p *Program) CountSites() int {
-	total := 0
-	p.Toplevel.WalkProtos(func(fp *FuncProto) { total += len(fp.Sites) })
-	return total
-}
+func (p *Program) CountSites() int { return p.Layout().NumSites() }

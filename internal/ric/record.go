@@ -210,38 +210,12 @@ func fieldHandler(d ic.CIDescriptor) bool {
 // progs must resolve to a live feedback site with the recorded access kind
 // and property name. Sites in scripts not covered by progs are skipped:
 // a merged record legitimately spans scripts the current session never
-// loads.
+// loads. Lookups go through each program's shared layout, so validation
+// builds no index of its own.
 func (r *Record) Validate(progs ...*bytecode.Program) error {
-	sites := make(map[source.Site]bytecode.SiteInfo)
-	// declSites are function declaration positions: constructor initial
-	// hidden classes key their TOAST entries to the declaring function's
-	// site rather than to a feedback slot.
-	declSites := make(map[source.Site]bool)
-	covered := make(map[string]bool)
-	for _, p := range progs {
-		if p == nil || p.Toplevel == nil {
-			continue
-		}
-		covered[p.Script] = true
-		p.Toplevel.WalkProtos(func(fp *bytecode.FuncProto) {
-			for _, si := range fp.Sites {
-				sites[si.Site] = si
-			}
-			if !fp.DeclPos.IsZero() {
-				declSites[source.Site{Script: fp.Script, Pos: fp.DeclPos}] = true
-			}
-		})
-	}
-	known := func(s source.Site) (bytecode.SiteInfo, bool, bool) {
-		if !covered[s.Script] {
-			return bytecode.SiteInfo{}, false, false
-		}
-		si, ok := sites[s]
-		return si, ok, true
-	}
 	for hcid, deps := range r.Deps {
 		for _, d := range deps {
-			si, ok, inScope := known(d.Site)
+			si, ok, inScope := lookupSite(progs, d.Site)
 			if !inScope {
 				continue
 			}
@@ -255,14 +229,53 @@ func (r *Record) Validate(progs ...*bytecode.Program) error {
 		}
 	}
 	for site := range r.SiteTOAST {
-		if _, ok, inScope := known(site); inScope && !ok && !declSites[site] {
+		if _, ok, inScope := lookupSite(progs, site); inScope && !ok && !declared(progs, site) {
 			return fmt.Errorf("ric: TOAST site %s: no such access site in compiled bytecode (stale record?)", site)
 		}
 	}
 	for site := range r.RejectedSites {
-		if _, ok, inScope := known(site); inScope && !ok && !declSites[site] {
+		if _, ok, inScope := lookupSite(progs, site); inScope && !ok && !declared(progs, site) {
 			return fmt.Errorf("ric: rejected site %s: no such access site in compiled bytecode (stale record?)", site)
 		}
 	}
 	return nil
+}
+
+// lookupSite resolves s through the programs' shared layouts. inScope
+// reports whether some program covers s's script; ok whether s is a
+// feedback site there. When several programs carry s, the last one wins.
+func lookupSite(progs []*bytecode.Program, s source.Site) (si *bytecode.SiteInfo, ok, inScope bool) {
+	for _, p := range progs {
+		if p != nil && p.Toplevel != nil && p.Script == s.Script {
+			inScope = true
+			break
+		}
+	}
+	if !inScope {
+		return nil, false, false
+	}
+	for i := len(progs) - 1; i >= 0; i-- {
+		p := progs[i]
+		if p == nil || p.Toplevel == nil {
+			continue
+		}
+		l := p.Layout()
+		if ref, found := l.Lookup(s); found {
+			return l.Info(ref), true, true
+		}
+	}
+	return nil, false, true
+}
+
+// declared reports whether s is a function declaration position in one
+// of the programs: constructor initial hidden classes key their TOAST
+// entries to the declaring function's site rather than to a feedback
+// slot.
+func declared(progs []*bytecode.Program, s source.Site) bool {
+	for _, p := range progs {
+		if p != nil && p.Toplevel != nil && p.Layout().Decl(s) != nil {
+			return true
+		}
+	}
+	return false
 }

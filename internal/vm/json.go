@@ -65,12 +65,20 @@ func (vm *VM) jsonAddField(o *objects.Object, key string, v objects.Value) {
 	}
 }
 
+// maxJSONDepth bounds the array/object nesting JSON.parse accepts. The
+// parser recurses once per level, so without a bound a deeply nested
+// input overflows the goroutine stack and kills the process; past the
+// bound parse throws an ordinary, catchable error. Workload documents
+// nest a handful of levels.
+const maxJSONDepth = 1000
+
 // jsonParser is a recursive-descent parser over the JSON grammar subset
 // the workloads need (RFC 8259 without surrogate-pair escapes).
 type jsonParser struct {
-	vm  *VM
-	src string
-	pos int
+	vm    *VM
+	src   string
+	pos   int
+	depth int
 }
 
 func (p *jsonParser) skipSpace() {
@@ -94,10 +102,20 @@ func (p *jsonParser) parseValue() (objects.Value, error) {
 		return objects.Undefined(), p.fail("unexpected end of input")
 	}
 	switch c := p.src[p.pos]; {
-	case c == '{':
-		return p.parseObject()
-	case c == '[':
-		return p.parseArray()
+	case c == '{' || c == '[':
+		if p.depth == maxJSONDepth {
+			return objects.Undefined(), p.fail("nesting exceeds %d levels", maxJSONDepth)
+		}
+		p.depth++
+		var v objects.Value
+		var err error
+		if c == '{' {
+			v, err = p.parseObject()
+		} else {
+			v, err = p.parseArray()
+		}
+		p.depth--
+		return v, err
 	case c == '"':
 		s, err := p.parseString()
 		if err != nil {

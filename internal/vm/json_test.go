@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -110,5 +111,30 @@ func TestJSONParseDeterministicAcrossRuns(t *testing.T) {
 	}
 	if a, b := v1.Prof.Snapshot(), v2.Prof.Snapshot(); a != b {
 		t.Fatalf("accounting differs:\n%+v\n%+v", a, b)
+	}
+}
+
+// TestJSONParseNestingBound feeds JSON.parse documents nested far past
+// maxJSONDepth. Unbounded recursion would overflow the goroutine stack
+// and kill the process; instead parse throws an ordinary error that the
+// script catches. A document exactly at the bound still parses.
+func TestJSONParseNestingBound(t *testing.T) {
+	const deep = 100_000
+	for _, tc := range []struct {
+		name, open, close string
+		width             int // bytes per nesting level
+	}{
+		{"array", "[", "]", 1},
+		{"object", `{"a":`, "}", 5},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			src := `try { JSON.parse('` + strings.Repeat(tc.open, deep) + `1'); print("parsed"); }
+				catch (e) { print(e); }`
+			want := fmt.Sprintf("JSON.parse: nesting exceeds %d levels at offset %d\n", maxJSONDepth, maxJSONDepth*tc.width)
+			expectOut(t, src, want)
+
+			atBound := strings.Repeat(tc.open, maxJSONDepth) + "1" + strings.Repeat(tc.close, maxJSONDepth)
+			expectOut(t, `JSON.parse('`+atBound+`'); print("parsed");`, "parsed\n")
+		})
 	}
 }

@@ -47,8 +47,15 @@ func (vm *VM) ObjectProto() *objects.Object { return vm.objectProto }
 // FuncProtoAt resolves a compiled function by its declaration site among
 // the programs registered in this VM. The snapshot format references
 // functions this way — by context-independent identity, like RIC's sites.
+// When several registered programs declare the site, the last registered
+// one wins.
 func (vm *VM) FuncProtoAt(site source.Site) *bytecode.FuncProto {
-	return vm.protoIndex[site]
+	for i := len(vm.programs) - 1; i >= 0; i-- {
+		if p := vm.programs[i].layout.Decl(site); p != nil {
+			return p
+		}
+	}
+	return nil
 }
 
 // SetGlobalDirect defines a global property without going through the IC,

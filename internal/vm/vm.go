@@ -91,9 +91,9 @@ type VM struct {
 	// feedback maps each compiled function to its ICVector (out-of-line
 	// IC, paper Figure 3). Per-VM so code can be shared across VMs.
 	feedback map[*bytecode.FuncProto]*ic.Vector
-	// slotIndex locates a feedback slot by its context-independent site
-	// identity; RIC preloads through it.
-	slotIndex map[source.Site]*ic.Slot
+	// programs lists the registered programs, oldest first. Site and
+	// declaration lookups go through their shared layouts, newest first.
+	programs []registered
 
 	// roots lists every root hidden class in creation order, for the
 	// extraction phase's deterministic walk.
@@ -144,9 +144,6 @@ type VM struct {
 	// globalBaseline lists the global object's own properties at the end
 	// of startup; script-created globals are everything after these.
 	globalBaseline map[string]bool
-	// protoIndex resolves compiled functions by declaration site, for
-	// snapshot restoration.
-	protoIndex map[source.Site]*bytecode.FuncProto
 	// restoreHCs caches per-prototype root hidden classes used by
 	// snapshot restoration.
 	restoreHCs map[*objects.Object]*objects.HiddenClass
@@ -169,8 +166,6 @@ func New(opts Options) *VM {
 		hooks:            opts.Hooks,
 		siteObs:          opts.SiteObserver,
 		storeObs:         opts.StoreObserver,
-		feedback:         make(map[*bytecode.FuncProto]*ic.Vector),
-		slotIndex:        make(map[source.Site]*ic.Slot),
 		out:              opts.Stdout,
 		rng:              opts.RandSeed,
 		maxSteps:         opts.MaxSteps,
@@ -327,8 +322,17 @@ func (vm *VM) DumpICState() string {
 }
 
 // SlotFor returns the feedback slot registered for a site, or nil. RIC's
-// dependent-site preloading resolves sites through it.
-func (vm *VM) SlotFor(site source.Site) *ic.Slot { return vm.slotIndex[site] }
+// dependent-site preloading resolves sites through it. When several
+// registered programs carry the site, the last registered one wins.
+func (vm *VM) SlotFor(site source.Site) *ic.Slot {
+	for i := len(vm.programs) - 1; i >= 0; i-- {
+		rp := &vm.programs[i]
+		if ref, ok := rp.layout.Lookup(site); ok {
+			return &rp.vectors[ref.Proto].Slots[ref.Index]
+		}
+	}
+	return nil
+}
 
 // newRootHC creates a root hidden class and records it for extraction.
 func (vm *VM) newRootHC(proto *objects.Object, creator objects.Creator) *objects.HiddenClass {
@@ -369,49 +373,51 @@ type namedBuiltin struct {
 	Obj  *objects.Object
 }
 
+// registered is one program registered in a VM: its shared layout and
+// the VM's ICVectors for it, aligned with layout.Protos.
+type registered struct {
+	layout  *bytecode.Layout
+	vectors []ic.Vector
+}
+
 // RegisterProgram materializes ICVectors for every function in a compiled
-// program and indexes their slots by site. Loading the same program twice
-// into one VM is a no-op for already-registered functions.
+// program: one slot slab for the whole program, carved into per-function
+// vectors by the program's shared layout. Loading the same program twice
+// into one VM is a no-op, and a function already registered through
+// another program keeps its vector.
 func (vm *VM) RegisterProgram(prog *bytecode.Program) {
-	prog.Toplevel.WalkProtos(func(p *bytecode.FuncProto) {
-		if _, ok := vm.feedback[p]; ok {
+	l := prog.Layout()
+	for i := range vm.programs {
+		if vm.programs[i].layout == l {
 			return
 		}
-		if len(p.NameIDs) != len(p.Names) {
-			// Protos built outside the compiler (tests) lack the interned
-			// name pool; registration is the last point before execution
-			// can index it.
-			p.NameIDs = make([]symtab.ID, len(p.Names))
-			for i, n := range p.Names {
-				p.NameIDs[i] = symtab.Intern(n)
-			}
+	}
+	slots := make([]ic.Slot, l.NumSites())
+	vectors := make([]ic.Vector, len(l.Protos))
+	if vm.feedback == nil {
+		vm.feedback = make(map[*bytecode.FuncProto]*ic.Vector, len(l.Protos))
+	}
+	if vm.vectorOrder == nil {
+		vm.vectorOrder = make([]*ic.Vector, 0, len(l.Protos))
+	}
+	for i, p := range l.Protos {
+		if v, ok := vm.feedback[p]; ok {
+			// The copy aliases the existing slots, so SlotFor through
+			// this program still reaches the slots the code uses.
+			vectors[i] = *v
+			continue
 		}
-		if p.CallLabel == "" {
-			p.CallLabel = p.FunctionName() + " (" + p.Script + ")"
+		lo, hi := l.SlotBase[i], l.SlotBase[i+1]
+		own := slots[lo:hi:hi]
+		for j := range p.Sites {
+			si := &p.Sites[j]
+			own[j] = ic.Slot{Site: si.Site, Kind: si.Kind, Name: si.Name, NameID: si.NameID}
 		}
-		slots := make([]ic.Slot, len(p.Sites))
-		for i, si := range p.Sites {
-			nameID := si.NameID
-			if nameID == symtab.None && si.Name != "" {
-				// Protos built outside the compiler (tests, decoded
-				// records) may lack pre-interned site names.
-				nameID = symtab.Intern(si.Name)
-			}
-			slots[i] = ic.Slot{Site: si.Site, Kind: si.Kind, Name: si.Name, NameID: nameID}
-		}
-		v := ic.NewVector(p.FunctionName(), slots)
-		vm.feedback[p] = v
-		vm.vectorOrder = append(vm.vectorOrder, v)
-		for i := range v.Slots {
-			vm.slotIndex[v.Slots[i].Site] = &v.Slots[i]
-		}
-		if !p.DeclPos.IsZero() {
-			if vm.protoIndex == nil {
-				vm.protoIndex = make(map[source.Site]*bytecode.FuncProto)
-			}
-			vm.protoIndex[source.Site{Script: p.Script, Pos: p.DeclPos}] = p
-		}
-	})
+		vectors[i] = ic.Vector{FuncName: p.FunctionName(), Slots: own}
+		vm.feedback[p] = &vectors[i]
+		vm.vectorOrder = append(vm.vectorOrder, &vectors[i])
+	}
+	vm.programs = append(vm.programs, registered{layout: l, vectors: vectors})
 }
 
 // RunProgram executes a compiled script's toplevel with the global object

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"ricjs"
+	"ricjs/internal/bytecode"
 )
 
 // poolLib renders a small library keyed by an index: distinct constructor
@@ -376,5 +377,105 @@ func TestSharedRecordImmutableUnderConcurrentReuse(t *testing.T) {
 
 	if after := string(rec.Encode()); after != before {
 		t.Fatal("concurrent reuse mutated the shared record")
+	}
+}
+
+// TestSessionPoolSharedProgramIndex serves 32 concurrent Reuse sessions
+// over 4 keys from records in a store, through one code cache that has
+// never seen the scripts, so each key's first sessions compile it and
+// build its site index concurrently. Output must be byte-identical to a
+// sequential run, every session must see the same index for its key, and
+// the index must carry no per-engine IC state: one engine's slots are
+// untouched by other engines running the same program.
+func TestSessionPoolSharedProgramIndex(t *testing.T) {
+	const (
+		nkeys    = 4
+		sessions = 32
+	)
+	want := sequentialOutputs(t, nkeys)
+	store, err := ricjs.OpenRecordStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	extractor := ricjs.NewSessionPool(ricjs.PoolOptions{Store: store})
+	for i := 0; i < nkeys; i++ {
+		key, script, src := poolLib(i)
+		if _, err := extractor.Serve(ricjs.SessionRequest{Key: key, Scripts: []ricjs.SessionScript{{Name: script, Src: src}}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	cache := ricjs.NewCodeCache()
+	pool := ricjs.NewSessionPool(ricjs.PoolOptions{Store: store, Cache: cache, WaitForRecord: true})
+	results := make([]*ricjs.SessionResult, sessions)
+	layouts := make([]*bytecode.Layout, sessions)
+	errs := make([]error, sessions)
+	var wg sync.WaitGroup
+	for s := 0; s < sessions; s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			key, script, src := poolLib(s % nkeys)
+			results[s], errs[s] = pool.Serve(ricjs.SessionRequest{Key: key, Scripts: []ricjs.SessionScript{{Name: script, Src: src}}})
+			if errs[s] == nil {
+				layouts[s], errs[s] = cache.LayoutFor(script, src)
+			}
+		}(s)
+	}
+	wg.Wait()
+	for s := 0; s < sessions; s++ {
+		key, _, _ := poolLib(s % nkeys)
+		if errs[s] != nil {
+			t.Fatalf("session %d (%s): %v", s, key, errs[s])
+		}
+		if results[s].Mode != ricjs.SessionReuse {
+			t.Errorf("session %d (%s): mode %v, want reuse", s, key, results[s].Mode)
+		}
+		if results[s].Output != want[key] {
+			t.Fatalf("session %d (%s): output %q, want %q", s, key, results[s].Output, want[key])
+		}
+		if first := layouts[s%nkeys]; layouts[s] != first {
+			t.Errorf("session %d (%s): site index %p, another session of the key saw %p", s, key, layouts[s], first)
+		}
+	}
+	for i := 1; i < nkeys; i++ {
+		if layouts[i] == layouts[0] {
+			t.Errorf("keys %d and 0 share one site index", i)
+		}
+	}
+
+	key, script, src := poolLib(0)
+	rec, err := store.Load(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	observed := ricjs.NewEngine(ricjs.Options{Cache: cache, Record: rec})
+	if err := observed.Run(script, src); err != nil {
+		t.Fatal(err)
+	}
+	before := observed.ICState()
+	if before == "" {
+		t.Fatal("observed engine has no IC state to compare")
+	}
+	for s := 0; s < 8; s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			opts := ricjs.Options{Cache: cache, AddressSeed: uint64(s + 1)}
+			if s%2 == 0 {
+				opts.Record = rec
+			}
+			other := ricjs.NewEngine(opts)
+			errs[s] = other.Run(script, src)
+		}(s)
+	}
+	wg.Wait()
+	for s := 0; s < 8; s++ {
+		if errs[s] != nil {
+			t.Fatalf("engine %d: %v", s, errs[s])
+		}
+	}
+	if after := observed.ICState(); after != before {
+		t.Fatalf("IC state changed by other engines' runs:\nbefore:\n%s\nafter:\n%s", before, after)
 	}
 }
