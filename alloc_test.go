@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"ricjs"
 	"ricjs/internal/bytecode"
 	"ricjs/internal/codecache"
 	"ricjs/internal/objects"
@@ -203,5 +204,58 @@ func TestRecordValidateAllocFree(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Errorf("Record.Validate: %v allocs/op, want 0", allocs)
+	}
+}
+
+// TestExtractRecordRunsNoAnalysis pins extraction to the IC walk: a
+// session's ExtractRecord allocates within a small constant of ric.Extract
+// on the same engine (the static analysis alone allocates thousands of
+// objects per library), and the records it produces, including the one a
+// cold SessionPool session saves, carry no typed-slot claims.
+func TestExtractRecordRunsNoAnalysis(t *testing.T) {
+	const slack = 4
+	for _, name := range []string{"jQuery", "React"} {
+		p, _ := workloads.ByName(name)
+		eng := ricjs.NewEngine(ricjs.Options{})
+		if err := eng.Run(p.Script, p.Source()); err != nil {
+			t.Fatal(err)
+		}
+		walk := testing.AllocsPerRun(5, func() { ric.Extract(eng.VM(), p.Name, ric.Config{}) })
+		var rec *ricjs.Record
+		extract := testing.AllocsPerRun(5, func() { rec = eng.ExtractRecord(p.Name) })
+		if extract > walk+slack {
+			t.Errorf("%s: ExtractRecord %v allocs/op, ric.Extract %v: extraction does more than the IC walk",
+				name, extract, walk)
+		}
+		if n := rec.Stats().TypedSlotClaims; n != 0 {
+			t.Errorf("%s: ExtractRecord attached %d typed-slot claims, want 0", name, n)
+		}
+	}
+
+	store, err := ricjs.OpenRecordStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, _ := workloads.ByName("React")
+	pool := ricjs.NewSessionPool(ricjs.PoolOptions{Store: store})
+	res, err := pool.Serve(ricjs.SessionRequest{
+		Key:     p.Name,
+		Scripts: []ricjs.SessionScript{{Name: p.Script, Src: p.Source()}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Mode != ricjs.SessionInitial {
+		t.Fatalf("cold session mode = %v, want initial", res.Mode)
+	}
+	saved, err := store.Load(p.Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if saved.Stats().DependentSlots == 0 {
+		t.Fatal("saved record is empty: the claims check would be vacuous")
+	}
+	if n := saved.Stats().TypedSlotClaims; n != 0 {
+		t.Errorf("record saved by a cold session decodes with %d typed-slot claims, want 0", n)
 	}
 }

@@ -3,17 +3,20 @@
 // The engine's instruction counts and record sizes are bit-for-bit
 // reproducible (the profiler charges fixed costs per operation and the
 // codec is deterministic), so they can be gated exactly, with zero flake —
-// unlike wall-clock timings, which perfgate deliberately ignores. The gate
-// diffs `conventionalInstructions`, `ricInstructions`, and `recordBytes`
-// per workload against the committed BENCH_baseline.json and fails on any
-// regression beyond the tolerance (default 2%). `typedFastHits` is gated
-// in the opposite direction — it counts loads the Reuse run served through
-// the typed-slot fast path, so a drop means typed-shape inference silently
-// lost coverage. `analysisWork` — the static analysis' fixpoint rounds, function runs,
-// blocks, instruction steps, state merges and state clones — is a pure
-// function of the workload source, so it is gated exactly like
-// instructions: a rise means the analysis does more work for the same
-// input.
+// unlike wall-clock timings, which perfgate gates only as the conservative
+// load bounds below. The gate diffs `conventionalInstructions`,
+// `ricInstructions`, and `recordBytes` per workload against the committed
+// BENCH_baseline.json and fails on any regression beyond the tolerance
+// (default 2%). `typedFastHits` is gated in the opposite direction — it
+// counts loads a Reuse run with the static analysis' typed-slot claims
+// attached served through the typed fast path, so a drop means typed-shape
+// inference silently lost coverage. `analysisWork` — the static analysis'
+// fixpoint rounds, function runs, blocks, instruction steps, state merges
+// and state clones — is a pure function of the workload source, so it is
+// gated exactly like instructions: a rise means the analysis does more
+// work for the same input. With a `load` block in the input, the
+// open-loop load run must also clear the committed throughput floor and
+// p99 latency ceiling.
 //
 // Usage:
 //
@@ -49,20 +52,24 @@ type baseline struct {
 	Load      *loadBaseline `json:"load,omitempty"`
 }
 
-// loadBaseline is the committed throughput floor for the open-loop load
-// harness (`ricbench -load`). Unlike the exact counters above this is a
-// wall-clock number, so it is gated as a conservative floor, not a diff:
-// the measured sessions/sec must not drop below it. The committed floor is
-// deliberately far under healthy throughput — it exists to catch the read
-// path growing a lock or sessions serializing, which cuts throughput by
+// loadBaseline is the committed throughput floor and tail-latency ceiling
+// for the open-loop load harness (`ricbench -load`). Unlike the exact
+// counters above these are wall-clock numbers, so they are gated as
+// conservative bounds, not diffs: the measured sessions/sec must not drop
+// below the floor, and the p99 session latency must not rise above the
+// ceiling. Both sit a factor of four from healthy values — they exist to
+// catch the read path growing a lock, sessions serializing, or a cold
+// session blocking on work it does not need, which move these numbers by
 // integer factors, not percents.
 type loadBaseline struct {
 	SessionsPerSecFloor float64 `json:"sessionsPerSecFloor"`
+	P99MsCeiling        float64 `json:"p99MsCeiling,omitempty"`
 }
 
 // loadBlock is the slice of the ricbench `load` JSON block the gate reads.
 type loadBlock struct {
 	SessionsPerSec    float64 `json:"sessionsPerSec"`
+	P99Ms             float64 `json:"p99Ms"`
 	Failures          int     `json:"failures"`
 	OutputMismatches  int     `json:"outputMismatches"`
 	ShardLockAcquires uint64  `json:"shardLockAcquires"`
@@ -90,9 +97,10 @@ func main() {
 	current := baseline{Workloads: bench.Libraries}
 
 	if *write {
-		// The throughput floor is hand-tuned (it gates a wall-clock number
-		// conservatively), so -write preserves a committed floor; a fresh
-		// baseline seeds it at a quarter of the measured rate.
+		// The load bounds are hand-tuned (they gate wall-clock numbers
+		// conservatively), so -write preserves committed bounds; a fresh
+		// baseline seeds the floor at a quarter of the measured rate and the
+		// ceiling at four times the measured p99.
 		if data, err := os.ReadFile(*baselinePath); err == nil {
 			var old baseline
 			if json.Unmarshal(data, &old) == nil && old.Load != nil {
@@ -100,7 +108,10 @@ func main() {
 			}
 		}
 		if current.Load == nil && bench.Load != nil && bench.Load.SessionsPerSec > 0 {
-			current.Load = &loadBaseline{SessionsPerSecFloor: bench.Load.SessionsPerSec / 4}
+			current.Load = &loadBaseline{
+				SessionsPerSecFloor: bench.Load.SessionsPerSec / 4,
+				P99MsCeiling:        bench.Load.P99Ms * 4,
+			}
 		}
 		data, err := json.MarshalIndent(current, "", "  ")
 		if err != nil {
@@ -202,13 +213,13 @@ func main() {
 		regressions++
 	}
 
-	// Throughput floor: only checked when the input carries a load block
-	// (i.e. ricbench ran with -load) and the baseline commits a floor.
+	// Load bounds: only checked when the input carries a load block (i.e.
+	// ricbench ran with -load) and the baseline commits them.
 	switch {
 	case base.Load == nil || base.Load.SessionsPerSecFloor <= 0:
 		// No committed floor; nothing to gate.
 	case bench.Load == nil:
-		fmt.Println("perfgate: note: baseline has a throughput floor but input has no load block (run ricbench with -load); floor not checked")
+		fmt.Println("perfgate: note: baseline has load bounds but input has no load block (run ricbench with -load); bounds not checked")
 	default:
 		lb := bench.Load
 		if lb.Failures > 0 || lb.OutputMismatches > 0 {
@@ -222,6 +233,14 @@ func main() {
 		} else {
 			fmt.Printf("perfgate: load sessionsPerSec %.2f >= floor %.2f\n",
 				lb.SessionsPerSec, base.Load.SessionsPerSecFloor)
+		}
+		if c := base.Load.P99MsCeiling; c > 0 {
+			if lb.P99Ms > c {
+				fmt.Printf("perfgate: REGRESSION load p99Ms %.2f above ceiling %.2f\n", lb.P99Ms, c)
+				regressions++
+			} else {
+				fmt.Printf("perfgate: load p99Ms %.2f <= ceiling %.2f\n", lb.P99Ms, c)
+			}
 		}
 	}
 	for _, e := range bench.Errors {

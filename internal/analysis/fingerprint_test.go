@@ -18,6 +18,7 @@ import (
 	"ricjs/internal/analysis"
 	"ricjs/internal/bytecode"
 	"ricjs/internal/progen"
+	"ricjs/internal/ric"
 	"ricjs/internal/workloads"
 )
 
@@ -76,12 +77,17 @@ func fingerprints(t *testing.T) map[string]string {
 	out := map[string]string{}
 	for _, p := range workloads.Profiles {
 		src := p.Source()
-		out[p.Name] = digest(dumpResult(analysis.Analyze(compile(t, p.Script, src))))
+		res := analysis.Analyze(compile(t, p.Script, src))
+		out[p.Name] = digest(dumpResult(res))
 		eng := ricjs.NewEngine(ricjs.Options{})
 		if err := eng.Run(p.Script, src); err != nil {
 			t.Fatalf("%s: %v", p.Name, err)
 		}
-		sum := sha256.Sum256(eng.ExtractRecord(p.Name).Encode())
+		// Engine.ExtractRecord attaches no claims; attach them here so the
+		// digest pins the analysis' typed-slot claims too.
+		rec := ric.Extract(eng.VM(), p.Name, ric.Config{})
+		rec.AttachTypedShapes(res)
+		sum := sha256.Sum256(rec.Encode())
 		out[p.Name+".record"] = hex.EncodeToString(sum[:])
 	}
 	for seed := 0; seed < fingerprintProgenSeeds; seed++ {

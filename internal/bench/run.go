@@ -28,11 +28,10 @@ type LibraryRun struct {
 	ConvTime time.Duration
 	RICTime  time.Duration
 
-	// ExtractTime is the wall time of Engine.ExtractRecord. It has two
-	// phases, each timed again on its own: the IC walk (ric.Extract) and
-	// the static analysis attaching typed-slot claims.
+	// ExtractTime is the wall time of Engine.ExtractRecord, the IC walk a
+	// session pays. AnalyzeTime is the static analysis a caller runs to
+	// attach typed-slot claims, an offline cost no session pays.
 	ExtractTime  time.Duration
-	ICWalkTime   time.Duration
 	AnalyzeTime  time.Duration
 	AnalysisWork analysis.Work
 	RecordBytes  int
@@ -48,12 +47,11 @@ type RecordStats struct {
 	TriggeringSites int
 	DependentSlots  int
 	RejectedSites   int
-	TypedSlotClaims int
 }
 
 // StaticTypeStats summarizes the typed-shape pipeline for one library:
-// what the extraction-time analysis inferred and how often the Reuse run
-// actually served loads through the typed fast path.
+// what the static analysis inferred and how often a Reuse run with the
+// claims attached served loads through the typed fast path.
 type StaticTypeStats struct {
 	SitesAnalyzed int
 	TypedShapes   int
@@ -135,10 +133,6 @@ func MeasureLibrary(p workloads.Profile, opts Options) (LibraryRun, error) {
 	extractTime := time.Since(extractStart)
 	encoded := record.Encode()
 
-	// Time the two extraction phases apart, on the same inputs.
-	walkStart := time.Now()
-	ric.Extract(initial.VM(), p.Name, ric.Config{IncludeGlobals: opts.IncludeGlobals})
-	icWalkTime := time.Since(walkStart)
 	prog, err := codecache.New().Load(p.Script, src)
 	if err != nil {
 		return LibraryRun{}, err
@@ -151,7 +145,6 @@ func MeasureLibrary(p workloads.Profile, opts Options) (LibraryRun, error) {
 		Name:         p.Name,
 		Initial:      initial.Stats(),
 		ExtractTime:  extractTime,
-		ICWalkTime:   icWalkTime,
 		AnalyzeTime:  analyzeTime,
 		AnalysisWork: res.Work(),
 		RecordBytes:  len(encoded),
@@ -160,11 +153,8 @@ func MeasureLibrary(p workloads.Profile, opts Options) (LibraryRun, error) {
 			TriggeringSites: record.Stats().TriggeringSites,
 			DependentSlots:  record.Stats().DependentSlots,
 			RejectedSites:   record.Stats().RejectedSites,
-			TypedSlotClaims: record.Stats().TypedSlotClaims,
 		},
 	}
-	run.StaticTypes.SitesAnalyzed, run.StaticTypes.TypedShapes, run.StaticTypes.TypedSlots =
-		initial.StaticTypeStats()
 
 	// Two warmup rounds settle allocator and cache state before timing;
 	// the first round also captures the (deterministic) statistics.
@@ -195,11 +185,32 @@ func MeasureLibrary(p workloads.Profile, opts Options) (LibraryRun, error) {
 		if i == 0 {
 			run.RIC = reuse.Stats()
 			run.ValidatedHCs = reuse.ValidatedHCs()
-			run.StaticTypes.TypedFastHits = run.RIC.TypedFastHits
 		}
 	}
 	run.ConvTime = median(convTimes)
 	run.RICTime = median(ricTimes)
+
+	// The typed leg: extraction attaches no claims, so build a record
+	// with the analysis' claims from the same IC state and count the
+	// loads one Reuse run serves through the typed fast path. The codec
+	// round trip is how an internal record reaches a public Engine.
+	typed := ric.Extract(initial.VM(), p.Name, ric.Config{IncludeGlobals: opts.IncludeGlobals})
+	typed.AttachTypedShapes(res)
+	typedRecord, err := ricjs.DecodeRecord(typed.Encode())
+	if err != nil {
+		return LibraryRun{}, err
+	}
+	typedReuse := ricjs.NewEngine(ricjs.Options{Cache: cache, Record: typedRecord})
+	if err := typedReuse.Run(p.Script, src); err != nil {
+		return LibraryRun{}, err
+	}
+	typedShapes, typedSlots := res.TypedStats()
+	run.StaticTypes = StaticTypeStats{
+		SitesAnalyzed: len(res.Sites()),
+		TypedShapes:   typedShapes,
+		TypedSlots:    typedSlots,
+		TypedFastHits: typedReuse.Stats().TypedFastHits,
+	}
 	return run, nil
 }
 

@@ -59,7 +59,8 @@ type DepEntry struct {
 
 // SlotClaim is one typed-shape claim of an HCVT row: the slot at Offset of
 // the row's hidden class only ever holds values of Type. Claims are
-// computed by the static value-type analysis at extraction, verified
+// computed by the static value-type analysis when a caller attaches them
+// (AttachTypedShapes; extraction alone attaches none), verified
 // offline by riclint (VerifyTyped), and applied to the live hidden class
 // when the row validates in a Reuse run, upgrading its monomorphic load
 // sites to the typed fast path.

@@ -78,9 +78,9 @@ func (r *Record) VerifyStatic(res *analysis.Result) error {
 
 // resolveShapes maps every hidden-class ID the record can statically
 // justify to its analysis shape — the shared resolution step behind
-// VerifyStatic, VerifyTyped, and extraction-time claim attachment
-// (AttachTypedShapes). Unresolvable IDs stay nil (conservative); an ID
-// resolving to two distinct shapes is an inconsistency error.
+// VerifyStatic, VerifyTyped, and claim attachment (AttachTypedShapes).
+// Unresolvable IDs stay nil (conservative); an ID resolving to two
+// distinct shapes is an inconsistency error.
 func (r *Record) resolveShapes(res *analysis.Result) ([]*analysis.Shape, error) {
 	shapes := make([]*analysis.Shape, r.HCCount)
 	assign := func(id int32, s *analysis.Shape, how string) error {

@@ -261,10 +261,6 @@ type Engine struct {
 	// analysis is re-run jointly whenever a new script joins the session.
 	progs []*bytecode.Program
 
-	// lastAnalysis is the joint analysis ExtractRecord computed for the
-	// typed-shape claims, kept for StaticTypeStats reporting.
-	lastAnalysis *analysis.Result
-
 	// history lists every script executed so far (including ones that
 	// ended in a JavaScript error — their side effects persist), so
 	// degrade can reproduce the session state on a fresh VM.
@@ -529,44 +525,13 @@ func (e *Engine) Degraded() (bool, *EngineError) {
 	return e.degraded, e.degradedErr
 }
 
-// ExtractRecord runs the extraction phase (paper §5.2.1) over the engine's
-// accumulated IC state, then attaches typed-shape claims computed by the
-// static value-type analysis of the session's scripts (the .ric v5
-// section): a Reuse run applies them to validated hidden classes,
-// upgrading monomorphic load sites to the typed fast path. Call it after
-// the Initial run completes; the engine is not modified.
+// ExtractRecord runs the extraction phase (paper §5.2.1): a walk over the
+// engine's accumulated IC state. The record carries no typed-shape claims;
+// a caller that wants them runs the static analysis itself and attaches
+// them to the internal record (ric.Record.AttachTypedShapes). Call it
+// after the Initial run completes; the engine is not modified.
 func (e *Engine) ExtractRecord(label string) *Record {
-	rec := ric.Extract(e.vm, label, ric.Config{IncludeGlobals: e.opts.IncludeGlobals})
-	// Analyze the session jointly, exactly as the static prefilter does:
-	// scripts share the global object and each other's constructors.
-	var progs []*bytecode.Program
-	seen := make(map[*bytecode.Program]bool)
-	for _, h := range e.history {
-		prog, err := e.cache.c.Load(h.name, h.src)
-		if err != nil || seen[prog] {
-			continue
-		}
-		seen[prog] = true
-		progs = append(progs, prog)
-	}
-	if len(progs) > 0 {
-		res := analysis.Analyze(progs...)
-		rec.AttachTypedShapes(res)
-		e.lastAnalysis = res
-	}
-	return &Record{r: rec}
-}
-
-// StaticTypeStats reports the extraction-time static-typing summary: how
-// many access sites the value-type analysis predicted over, and how many
-// shapes and slots received type claims (the record's typed-shape
-// section). All zeros before ExtractRecord runs.
-func (e *Engine) StaticTypeStats() (sitesAnalyzed, typedShapes, typedSlots int) {
-	if e.lastAnalysis == nil {
-		return 0, 0, 0
-	}
-	typedShapes, typedSlots = e.lastAnalysis.TypedStats()
-	return len(e.lastAnalysis.Sites()), typedShapes, typedSlots
+	return &Record{r: ric.Extract(e.vm, label, ric.Config{IncludeGlobals: e.opts.IncludeGlobals})}
 }
 
 // Stats snapshots the run's statistics.
